@@ -1,7 +1,6 @@
 """Chord crossings on convex point sets, from the ground up."""
 
 from outerkplanar import (
-    Chord,
     ConvexGraph,
     chord_length,
     chords_cross,
@@ -20,7 +19,7 @@ for e, f in [((0, 4), (2, 6)), ((0, 4), (4, 6)), ((0, 1), (2, 3))]:
 print("\nchord lengths on n=8 (0 = hull edge):")
 for a, b in [(0, 1), (0, 2), (0, 4), (5, 7)]:
     print(f"  ({a}, {b}): length {chord_length(n, (a, b))}, "
-          f"hull={Chord(a, b).is_hull(n)}")
+          f"hull={chord_length(n, (a, b)) == 0}")
 
 # every 4-subset of vertices of K_n contributes exactly one crossing pair
 for x in range(5, 9):

@@ -57,7 +57,6 @@ from .constructions import (
 )
 from .errors import BudgetExceededError, NotApplicableError
 from .geometry import (
-    Chord,
     ConvexGraph,
     bipartition,
     chord_length,
@@ -88,7 +87,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # geometry
-    "Chord",
     "ConvexGraph",
     "chord_length",
     "chords_cross",

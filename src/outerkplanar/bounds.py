@@ -3,28 +3,17 @@
 Everything here is a closed-form evaluator: upper bounds on the number of
 edges an outer k-planar graph on n vertices can have, matching lower
 bounds realized by the chain constructions, and the crossing-number lower
-bounds the upper bounds rest on.  Each evaluator has an explicit validity
+bounds the upper bounds rest on.  Each bound has an explicit validity
 window and raises NotApplicableError outside it rather than returning a
 number that nothing proves.
 
-Upper-bound variants (general graphs):
-
-* ``small_k``: the exact small-k table 2n-3, 2.5n-4, 3n-5, 3.25n-6 for
-  k = 0..3; k = 4 evaluates to 3.5n-6 but is only conditionally
-  established, and the report marks it so.
-* ``lazy``: 2.85*sqrt(k)*n for k >= 5, via doubling into a two-page
-  multigraph and a multigraph crossing lemma.
-* ``common``: sqrt(87723/16000*k)*n for k >= 5, via a crossing lemma
-  tuned to convex position.
-* ``local``: (2*sqrt(k+1)+2)*n, from the max-min-degree splitting
-  argument; valid for every k.
-* ``direct``: (sqrt(2)+eps)*sqrt(k)*n + n with eps = epsilon_for(k),
-  from a recursive splitting argument that only kicks in for large k;
-  guarded by the configurable threshold K_MIN.
-
-Bipartite counterparts use the constants 2.228 (lazy), sqrt(675/128)
-(common), 2*sqrt(8/11) (local), and the small-k family
-((k+3.5)n - (2k+6))/2 for k <= 4.
+The edge bounds of both families (general and bipartite) are the rows of
+one table, ``_BOUNDS`` below, which states each bound's window, formula,
+status and source once.  ``general_upper``, ``bipartite_upper``,
+``bound_report``, the variant tuples and the search's pruning bound all
+read that table.  The upper variants are ``small_k``, ``lazy``,
+``common``, ``local`` and, for general graphs only, ``direct``, whose
+window starts at the configurable "sufficiently large k" threshold k_min.
 
 The bipartite small-k constant deserves a note: the derivation yields
 -(2k+6) while the headline statement says -(2k+5); the enumerated values
@@ -36,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import NotApplicableError
 
@@ -66,18 +55,12 @@ SQRT2 = math.sqrt(2.0)
 # used as the default guard for the "sufficiently large k" statements.
 DEFAULT_K_MIN = 176
 
-GENERAL_UPPER_VARIANTS = ("small_k", "lazy", "common", "local", "direct")
-BIPARTITE_UPPER_VARIANTS = ("small_k", "lazy", "common", "local")
 CROSSING_LEMMA_FLAVORS = (
     "outer",
     "outer_bipartite",
     "multigraph_m2",
     "multigraph_m2_bipartite",
 )
-
-# slope, offset per k: bound is slope*n - offset.
-_SMALL_K_TABLE = {0: (2.0, 3.0), 1: (2.5, 4.0), 2: (3.0, 5.0), 3: (3.25, 6.0)}
-_SMALL_K_CONDITIONAL = (3.5, 6.0)  # k = 4, conditional
 
 
 def _check_nk(n: int, k: int) -> tuple[int, int]:
@@ -103,46 +86,6 @@ def epsilon_for(k) -> float:
     num = (5.0 * SQRT2 / 2.0) * math.sqrt(k) - 1.0
     den = SQRT2 * k - 2.0 * math.sqrt(k)
     return num / den
-
-
-def general_upper(n: int, k: int, variant: str = "common", *, k_min: int = DEFAULT_K_MIN) -> float:
-    """Upper bound on edges of an outer k-planar graph on n vertices.
-
-    Raises NotApplicableError when the variant's validity window excludes
-    k.  Note that ``small_k`` at k = 4 returns 3.5n - 6, which is only
-    conditionally established; consumers that need unconditional bounds
-    should treat k = 4 as out of window (bound_report flags it).
-    """
-    n, k = _check_nk(n, k)
-    if variant == "small_k":
-        if n < 3:
-            # at n = 2 the affine forms dip below the single realizable
-            # edge, so they are not upper bounds there
-            raise NotApplicableError(f"small_k assumes n >= 3 (got n={n})")
-        if k in _SMALL_K_TABLE:
-            slope, offset = _SMALL_K_TABLE[k]
-        elif k == 4:
-            slope, offset = _SMALL_K_CONDITIONAL
-        else:
-            raise NotApplicableError(f"small_k covers k <= 4 only (got k={k})")
-        return slope * n - offset
-    if variant == "lazy":
-        if k < 5:
-            raise NotApplicableError(f"lazy requires k >= 5 (got k={k})")
-        return 2.85 * math.sqrt(k) * n
-    if variant == "common":
-        if k < 5:
-            raise NotApplicableError(f"common requires k >= 5 (got k={k})")
-        return math.sqrt(87723.0 / 16000.0 * k) * n
-    if variant == "local":
-        return (2.0 * math.sqrt(k + 1.0) + 2.0) * n
-    if variant == "direct":
-        if k < max(3, k_min):
-            raise NotApplicableError(
-                f"direct requires k >= {max(3, k_min)} (got k={k})"
-            )
-        return (SQRT2 + epsilon_for(k)) * math.sqrt(k) * n + n
-    raise ValueError(f"unknown variant {variant!r}")
 
 
 @dataclass(frozen=True)
@@ -249,42 +192,6 @@ def crossing_lemma_lower(n: int, m: int, flavor: str = "outer") -> float:
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
-def bipartite_upper(
-    n: int,
-    k: int,
-    variant: str = "common",
-    *,
-    strict_statement: bool = False,
-    k_min: int = DEFAULT_K_MIN,
-) -> float:
-    """Upper bound on edges of a bipartite outer k-planar graph.
-
-    ``strict_statement`` only affects ``small_k``: it switches the
-    additive constant from the derived -(2k+6) to the stated -(2k+5).
-    """
-    n, k = _check_nk(n, k)
-    if variant == "small_k":
-        if n < 3:
-            raise NotApplicableError(f"small_k assumes n >= 3 (got n={n})")
-        if k > 4:
-            raise NotApplicableError(f"small_k covers k <= 4 only (got k={k})")
-        offset = (2 * k + 5) if strict_statement else (2 * k + 6)
-        return ((k + 3.5) * n - offset) / 2.0
-    if variant == "lazy":
-        if k < 5:
-            raise NotApplicableError(f"lazy requires k >= 5 (got k={k})")
-        return 2.228 * math.sqrt(k) * n
-    if variant == "common":
-        if k < 5:
-            raise NotApplicableError(f"common requires k >= 5 (got k={k})")
-        return math.sqrt(675.0 / 128.0 * k) * n
-    if variant == "local":
-        if k < k_min:
-            raise NotApplicableError(f"local requires k >= {k_min} (got k={k})")
-        return 2.0 * math.sqrt(8.0 / 11.0) * math.sqrt(k) * n
-    raise ValueError(f"unknown variant {variant!r}")
-
-
 def bipartite_lower(n: int, k: int, setting: str = "alternating") -> LowerBoundValue:
     """Constructive lower bounds for bipartite outer k-planar graphs.
 
@@ -350,6 +257,164 @@ def maxmindeg_bound(k: int) -> MaxMinDegreeBounds:
 
 
 # ---------------------------------------------------------------------------
+# The bound table
+# ---------------------------------------------------------------------------
+
+# slope, offset per k: the small-k bound is slope*n - offset.
+_SMALL_K_TABLE = {0: (2.0, 3.0), 1: (2.5, 4.0), 2: (3.0, 5.0), 3: (3.25, 6.0),
+                  4: (3.5, 6.0)}
+
+
+def _small_k(n: int, k: int) -> float:
+    slope, offset = _SMALL_K_TABLE[k]
+    return slope * n - offset
+
+
+class _Bound(NamedTuple):
+    """One edge bound: a row of the bound table.
+
+    The window is n >= n_from and k_from <= k <= k_to; a ``gated`` row
+    also needs k >= k_min, the caller's "sufficiently large k" threshold
+    (k_from None: no floor of its own).  A lower row's construction may
+    narrow the window by raising NotApplicableError.  Inside the window
+    the row's status holds, except at the k in ``conditional_k``.
+    ``valid_when`` is the report's prose for a window that is more than a
+    lower end on k, and ``stated`` the looser headline form used under
+    strict_statement.
+    """
+
+    family: str  # "general" or "bipartite"
+    kind: str  # "upper" or "lower"
+    name: str
+    formula: Callable[[int, int], float]
+    source: str
+    n_from: int = 1
+    k_from: int | None = 0
+    k_to: int | None = None
+    gated: bool = False
+    status: str = "yes"
+    conditional_k: tuple[int, ...] = ()
+    valid_when: str | None = None
+    stated: Callable[[int, int], float] | None = None
+
+    def k_low(self, k_min: int) -> int:
+        """The lower end of the k window under the caller's k_min."""
+        if not self.gated:
+            return self.k_from
+        return k_min if self.k_from is None else max(self.k_from, k_min)
+
+    def evaluate(self, n: int, k: int, low: int, stated: bool = False) -> float:
+        """The row's value at (n, k); NotApplicableError outside the window."""
+        if n < self.n_from:
+            raise NotApplicableError(
+                f"{self.name} assumes n >= {self.n_from} (got n={n})")
+        if self.k_to is not None and k > self.k_to:
+            raise NotApplicableError(
+                f"{self.name} covers k <= {self.k_to} only (got k={k})")
+        if k < low:
+            raise NotApplicableError(f"{self.name} requires k >= {low} (got k={k})")
+        if stated and self.stated is not None:
+            return self.stated(n, k)
+        return self.formula(n, k)
+
+    def at(self, n: int, k: int, k_min: int, stated: bool = False) -> tuple[float | None, str]:
+        """The row's value and ``valid`` flag at (n, k), as reported."""
+        try:
+            value = self.evaluate(n, k, self.k_low(k_min), stated)
+        except NotApplicableError:
+            return None, "no"
+        return value, "conditional" if k in self.conditional_k else self.status
+
+
+# At n = 2 the small-k affine forms dip below the single realizable edge,
+# so they are not upper bounds there.  Rows of a family are reported in
+# table order.
+_BOUNDS = (
+    _Bound("general", "upper", "small_k", _small_k, "small-k table",
+           n_from=3, k_to=4, conditional_k=(4,),
+           valid_when="n >= 3 and k <= 3 (k = 4 conditional)"),
+    _Bound("general", "upper", "lazy", lambda n, k: 2.85 * math.sqrt(k) * n,
+           "two-page doubling + multigraph crossing lemma", k_from=5),
+    _Bound("general", "upper", "common",
+           lambda n, k: math.sqrt(87723.0 / 16000.0 * k) * n,
+           "convex-position crossing lemma", k_from=5),
+    _Bound("general", "upper", "local", lambda n, k: maxmindeg_bound(k).general * n,
+           "max-min-degree splitting"),
+    _Bound("general", "upper", "direct",
+           lambda n, k: (SQRT2 + epsilon_for(k)) * math.sqrt(k) * n + n,
+           "recursive splitting", k_from=3, gated=True),
+    _Bound("general", "lower", "chain",
+           lambda n, k: float(general_lower(n, k).value), "complete-block chain",
+           valid_when="k >= 1, n >= 4 (rounded down to admissible parameters)"),
+    _Bound("general", "lower", "chain_closed_form", general_lower_closed_form,
+           "complete-block chain", status="reference",
+           valid_when="reference only: simplified closed form, "
+                      "inconsistent with the exact count"),
+    _Bound("bipartite", "upper", "small_k",
+           lambda n, k: ((k + 3.5) * n - (2 * k + 6)) / 2.0,
+           "small-k charging argument", n_from=3, k_to=4,
+           valid_when="n >= 3 and k <= 4",
+           stated=lambda n, k: ((k + 3.5) * n - (2 * k + 5)) / 2.0),
+    _Bound("bipartite", "upper", "lazy", lambda n, k: 2.228 * math.sqrt(k) * n,
+           "two-page doubling + bipartite multigraph crossing lemma", k_from=5),
+    _Bound("bipartite", "upper", "common",
+           lambda n, k: math.sqrt(675.0 / 128.0 * k) * n,
+           "bipartite convex-position crossing lemma", k_from=5),
+    _Bound("bipartite", "upper", "local",
+           lambda n, k: 2.0 * math.sqrt(8.0 / 11.0) * math.sqrt(k) * n,
+           "bipartite max-min-degree splitting", k_from=None, gated=True),
+    _Bound("bipartite", "lower", "alternating",
+           lambda n, k: float(bipartite_lower(n, k, "alternating").value),
+           "alternating complete-bipartite chain",
+           valid_when="sqrt(2k) integral and n = l*(2*sqrt(2k))+2"),
+    _Bound("bipartite", "lower", "consecutive",
+           lambda n, k: float(bipartite_lower(n, k, "consecutive").value),
+           "two-layer blowup", status="reference",
+           valid_when="asymptotic leading term only (finite-n count is smaller)"),
+)
+
+_UPPER_ROWS = {(row.family, row.name): row for row in _BOUNDS if row.kind == "upper"}
+GENERAL_UPPER_VARIANTS = tuple(name for family, name in _UPPER_ROWS if family == "general")
+BIPARTITE_UPPER_VARIANTS = tuple(name for family, name in _UPPER_ROWS if family == "bipartite")
+
+
+def _upper(family: str, n: int, k: int, variant: str, k_min: int,
+           stated: bool = False) -> float:
+    n, k = _check_nk(n, k)
+    row = _UPPER_ROWS.get((family, variant))
+    if row is None:
+        raise ValueError(f"unknown variant {variant!r}")
+    return row.evaluate(n, k, row.k_low(k_min), stated)
+
+
+def general_upper(n: int, k: int, variant: str = "common", *, k_min: int = DEFAULT_K_MIN) -> float:
+    """Upper bound on edges of an outer k-planar graph on n vertices.
+
+    Raises NotApplicableError when the variant's validity window excludes
+    (n, k).  A conditionally established value (``small_k`` at k = 4) is
+    returned like the others; consumers that need unconditional bounds
+    should use the ``valid`` flag of ``bound_report``.
+    """
+    return _upper("general", n, k, variant, k_min)
+
+
+def bipartite_upper(
+    n: int,
+    k: int,
+    variant: str = "common",
+    *,
+    strict_statement: bool = False,
+    k_min: int = DEFAULT_K_MIN,
+) -> float:
+    """Upper bound on edges of a bipartite outer k-planar graph.
+
+    ``strict_statement`` only affects ``small_k``: it switches the
+    additive constant from the derived -(2k+6) to the stated -(2k+5).
+    """
+    return _upper("bipartite", n, k, variant, k_min, strict_statement)
+
+
+# ---------------------------------------------------------------------------
 # Collected reports
 # ---------------------------------------------------------------------------
 
@@ -380,71 +445,14 @@ class BoundReport:
     entries: tuple[BoundEntry, ...]
 
 
-def _try(fn, *args, **kw):
-    try:
-        return fn(*args, **kw), "yes"
-    except NotApplicableError:
-        return None, "no"
-
-
 def bound_report(n: int, k: int, *, bipartite: bool = False, k_min: int = DEFAULT_K_MIN) -> BoundReport:
     """Evaluate every bound of one family at (n, k) with validity flags."""
     n, k = _check_nk(n, k)
-    entries: list[BoundEntry] = []
-    if not bipartite:
-        if n < 3 or k > 4:
-            sk_val, sk_flag = None, "no"
-        elif k <= 3:
-            sk_val, sk_flag = general_upper(n, k, "small_k"), "yes"
-        else:
-            sk_val, sk_flag = general_upper(n, k, "small_k"), "conditional"
-        entries.append(BoundEntry(
-            "small_k", "upper", sk_val, sk_flag,
-            "n >= 3 and k <= 3 (k = 4 conditional)", "small-k table"))
-        for name, window, source in (
-            ("lazy", "k >= 5", "two-page doubling + multigraph crossing lemma"),
-            ("common", "k >= 5", "convex-position crossing lemma"),
-            ("local", "k >= 0", "max-min-degree splitting"),
-            ("direct", f"k >= {max(3, k_min)}", "recursive splitting"),
-        ):
-            val, flag = _try(general_upper, n, k, name, k_min=k_min)
-            entries.append(BoundEntry(name, "upper", val, flag, window, source))
-        low, low_flag = _try(general_lower, n, k)
-        entries.append(BoundEntry(
-            "chain", "lower",
-            None if low is None else float(low.value), low_flag,
-            "k >= 1, n >= 4 (rounded down to admissible parameters)",
-            "complete-block chain"))
-        entries.append(BoundEntry(
-            "chain_closed_form", "lower",
-            general_lower_closed_form(n, k), "reference",
-            "reference only: simplified closed form, inconsistent with the exact count",
-            "complete-block chain"))
-    else:
-        if n >= 3 and k <= 4:
-            sk_val, sk_flag = bipartite_upper(n, k, "small_k"), "yes"
-        else:
-            sk_val, sk_flag = None, "no"
-        entries.append(BoundEntry(
-            "small_k", "upper", sk_val, sk_flag,
-            "n >= 3 and k <= 4", "small-k charging argument"))
-        for name, window, source in (
-            ("lazy", "k >= 5", "two-page doubling + bipartite multigraph crossing lemma"),
-            ("common", "k >= 5", "bipartite convex-position crossing lemma"),
-            ("local", f"k >= {k_min}", "bipartite max-min-degree splitting"),
-        ):
-            val, flag = _try(bipartite_upper, n, k, name, k_min=k_min)
-            entries.append(BoundEntry(name, "upper", val, flag, window, source))
-        low, low_flag = _try(bipartite_lower, n, k, "alternating")
-        entries.append(BoundEntry(
-            "alternating", "lower",
-            None if low is None else float(low.value), low_flag,
-            "sqrt(2k) integral and n = l*(2*sqrt(2k))+2",
-            "alternating complete-bipartite chain"))
-        cons = bipartite_lower(n, k, "consecutive")
-        entries.append(BoundEntry(
-            "consecutive", "lower", float(cons.value), "reference",
-            "asymptotic leading term only (finite-n count is smaller)",
-            "two-layer blowup"))
-    return BoundReport(n=n, k=k, family="bipartite" if bipartite else "general",
-                       entries=tuple(entries))
+    family = "bipartite" if bipartite else "general"
+    entries = []
+    for row in _BOUNDS:
+        if row.family == family:
+            value, valid = row.at(n, k, k_min)
+            window = row.valid_when or f"k >= {row.k_low(k_min)}"
+            entries.append(BoundEntry(row.name, row.kind, value, valid, window, row.source))
+    return BoundReport(n=n, k=k, family=family, entries=tuple(entries))

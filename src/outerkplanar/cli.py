@@ -176,13 +176,9 @@ def _cmd_bounds(args) -> str:
                 "invalid-flags",
                 f"unknown {family} variant {args.variant!r}; choose from {sorted(table)}",
             )
+        upper = bipartite_upper if args.bipartite else general_upper
         try:
-            if args.bipartite:
-                value = bipartite_upper(args.n, args.k, args.variant,
-                                        k_min=args.k_threshold)
-            else:
-                value = general_upper(args.n, args.k, args.variant,
-                                      k_min=args.k_threshold)
+            value = upper(args.n, args.k, args.variant, k_min=args.k_threshold)
         except NotApplicableError as exc:
             raise CliError("not-applicable", str(exc)) from exc
         return _fmt(value, args.precision) + "\n"

@@ -36,7 +36,6 @@ from .geometry import (
     _normalize_edge,
     chord_length,
     chords_cross,
-    hull_edges,
 )
 
 __all__ = [

@@ -22,10 +22,8 @@ low-degree vertex"; they are deliberately plain greedy implementations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 __all__ = [
-    "Chord",
     "ConvexGraph",
     "chord_length",
     "chords_cross",
@@ -64,33 +62,6 @@ def chord_length(n: int, edge) -> int:
     a, b = _normalize_edge(n, edge)
     gap = b - a
     return min(gap - 1, n - gap - 1)
-
-
-@dataclass(frozen=True, order=True)
-class Chord:
-    """A chord of the convex polygon, normalized so that a < b."""
-
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if self.a == self.b:
-            raise ValueError("chord endpoints must differ")
-        if self.a < 0 or self.b < 0:
-            raise ValueError("chord endpoints must be non-negative")
-        if self.a > self.b:
-            a, b = self.b, self.a
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
-
-    def length(self, n: int) -> int:
-        return chord_length(n, (self.a, self.b))
-
-    def is_hull(self, n: int) -> bool:
-        return self.length(n) == 0
-
-    def as_pair(self) -> tuple[int, int]:
-        return (self.a, self.b)
 
 
 def chords_cross(n: int, e1, e2) -> bool:

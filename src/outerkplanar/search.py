@@ -29,8 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import bipartite_upper, general_upper
-from .errors import BudgetExceededError, NotApplicableError
+from .bounds import _BOUNDS, DEFAULT_K_MIN
+from .errors import BudgetExceededError
 from .geometry import (
     ConvexGraph,
     _normalize_edge,
@@ -87,32 +87,20 @@ def canonical_form(g: ConvexGraph) -> tuple[tuple[int, int], ...]:
 def _static_upper(n: int, k: int, bipartite: bool) -> int:
     """Floor of the smallest unconditionally valid closed-form upper bound.
 
-    The conditional k = 4 table value is deliberately not used, and the
-    closed forms are only consulted for n >= 3 (below that they can dip
-    under the true optimum, which would make pruning unsound).  The
-    bipartite table is taken in its weaker -(2k+5) form for the same
-    reason.
+    The bounds are the upper rows of the bound table that ``bound_report``
+    marks ``valid: yes`` (so never a conditional value): the general rows,
+    and in a bipartite search the bipartite rows as well.  They are read
+    from the table directly, because building whole reports would add a
+    noticeable share to the smallest searches.  Rows are evaluated in
+    their weaker stated form (``strict_statement``), which keeps pruning
+    sound under either bipartite small-k constant.
     """
     vals = [float(math.comb(n, 2))]
-    if n >= 3:
-        for variant in ("small_k", "lazy", "common", "local"):
-            if variant == "small_k" and k > 3:
-                continue
-            try:
-                vals.append(general_upper(n, k, variant))
-            except NotApplicableError:
-                pass
-        if bipartite:
-            for variant in ("small_k", "lazy", "common", "local"):
-                try:
-                    if variant == "small_k":
-                        vals.append(
-                            bipartite_upper(n, k, variant, strict_statement=True)
-                        )
-                    else:
-                        vals.append(bipartite_upper(n, k, variant))
-                except NotApplicableError:
-                    pass
+    for row in _BOUNDS:
+        if row.kind == "upper" and (bipartite or row.family == "general"):
+            value, valid = row.at(n, k, DEFAULT_K_MIN, stated=True)
+            if valid == "yes":
+                vals.append(value)
     return math.floor(min(vals))
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from outerkplanar import (
     BIPARTITE_UPPER_VARIANTS,
+    DEFAULT_K_MIN,
     GENERAL_UPPER_VARIANTS,
     NotApplicableError,
     bipartite_lower,
@@ -216,3 +217,24 @@ def test_report_family_consistency():
 def test_variant_tuples_exported():
     assert set(GENERAL_UPPER_VARIANTS) == {"small_k", "lazy", "common", "local", "direct"}
     assert set(BIPARTITE_UPPER_VARIANTS) == {"small_k", "lazy", "common", "local"}
+
+
+def test_evaluators_agree_with_report():
+    """An evaluator raises exactly where the report says "no" and otherwise
+    returns the report's value; the variant tuples list the report's upper
+    rows in order."""
+    for bipartite, upper, variants in ((False, general_upper, GENERAL_UPPER_VARIANTS),
+                                       (True, bipartite_upper, BIPARTITE_UPPER_VARIANTS)):
+        for k_min in (3, DEFAULT_K_MIN):
+            for n in range(2, 41):
+                for k in [*range(13), 100, 175, 176, 177, 500]:
+                    rep = bound_report(n, k, bipartite=bipartite, k_min=k_min)
+                    ups = [e for e in rep.entries if e.kind == "upper"]
+                    assert tuple(e.name for e in ups) == variants
+                    for e in ups:
+                        where = (bipartite, k_min, n, k, e.name)
+                        if e.valid == "no":
+                            with pytest.raises(NotApplicableError):
+                                upper(n, k, e.name, k_min=k_min)
+                        else:
+                            assert upper(n, k, e.name, k_min=k_min) == e.value, where

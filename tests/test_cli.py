@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -92,6 +93,30 @@ def test_byte_stability():
     argv = ("sweep", "--n-from", "10", "--n-to", "14", "--k-from", "0",
             "--k-to", "3")
     assert invoke(*argv) == invoke(*argv)
+
+
+# sha256 of sweep stdout over n 2..60, k 0..40 with --k-threshold 3, per
+# (family, format), as the bound evaluators printed it before they were
+# read from one table.  A deliberate change to a bound (a value, window or
+# status, such as marking the k = 3 small-k row conditional) changes these
+# digests; update them in the same change and say so in CHANGES.md.
+SWEEP_DIGESTS = {
+    ("general", "json"): "6f269b9cf7059b5f83a1dee671e2e89b4477fd326672169355b1a7e4bbe8e0e1",
+    ("general", "csv"): "7d79f54833f3f3c3cf41f1fd1b3b46a66a385f281d2e47db0b81e38dd831bbee",
+    ("bipartite", "json"): "a88e1aeb2f48036896050b9393886e5df4d78fa00ebe3083a05f7cc973f12734",
+    ("bipartite", "csv"): "cea6235c0771a3377d7a6406e8cc083aff9711fd6bb2abebf250d3ff825508cd",
+}
+
+
+@pytest.mark.parametrize("family,fmt", sorted(SWEEP_DIGESTS))
+def test_sweep_bytes_frozen(family, fmt):
+    argv = ["sweep", "--n-from", "2", "--n-to", "60", "--k-from", "0",
+            "--k-to", "40", "--k-threshold", "3", "--format", fmt]
+    if family == "bipartite":
+        argv.append("--bipartite")
+    code, text = invoke(*argv)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGESTS[family, fmt]
 
 
 def test_precision_flag():
@@ -318,6 +343,16 @@ def declared_console_script():
         return tomllib.load(fh)["project"]["scripts"]["outerkplanar"]
 
 
+def package_env():
+    """The environment with PYTHONPATH led by the directory that holds the
+    imported outerkplanar package (``src`` in the source tree)."""
+    package_root = str(Path(outerkplanar.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_script():
     # Runs the declared target the way pip's generated wrapper does, in a
     # fresh interpreter that imports the same outerkplanar package as this
@@ -327,12 +362,15 @@ def test_console_script():
                f"from {module} import {attr}\n"
                f"sys.argv[0] = 'outerkplanar'\n"
                f"sys.exit({attr}())\n")
-    package_root = str(Path(outerkplanar.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", wrapper, *BOUNDS_ARGV],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "246\n", proc.stderr
+
+
+def test_python_dash_m():
+    proc = subprocess.run([sys.executable, "-m", "outerkplanar", *BOUNDS_ARGV],
+                          capture_output=True, text=True, env=package_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "246\n", proc.stderr
 

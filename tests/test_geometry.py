@@ -5,7 +5,6 @@ import math
 import pytest
 
 from outerkplanar import (
-    Chord,
     ConvexGraph,
     bipartition,
     chord_length,
@@ -65,14 +64,6 @@ def test_chord_length_and_hull():
             for b in range(a + 1, n):
                 gap = b - a
                 assert chord_length(n, (a, b)) == min(gap - 1, n - gap - 1)
-
-
-def test_chord_dataclass():
-    c = Chord(0, 3)
-    assert c.length(6) == 2
-    assert not c.is_hull(6)
-    assert Chord(5, 0).is_hull(6)
-    assert c.as_pair() == (0, 3)
 
 
 def test_graph_validation():
