@@ -231,14 +231,14 @@ def _cmd_construct(args) -> str:
 
 def _cmd_verify(args) -> str:
     g = _load_graph(args.file)
+    if args.k is not None and args.k < 0:
+        raise CliError("invalid-flags", "--k must be non-negative")
     counts = crossing_counts(g)
     worst = max(counts.values(), default=0)
     _, degeneracy = degeneracy_order(g)
     _, ncolors = greedy_color(g)
     payload = {"n": g.n, "m": g.m}
     if args.k is not None:
-        if args.k < 0:
-            raise CliError("invalid-flags", "--k must be non-negative")
         payload["k"] = args.k
         payload["outer_k_planar"] = worst <= args.k
     payload["max_crossing"] = worst

@@ -35,7 +35,7 @@ from .geometry import (
     ConvexGraph,
     _normalize_edge,
     chord_length,
-    chords_cross,
+    crossing_counts,
 )
 
 __all__ = [
@@ -226,13 +226,11 @@ def outercopy_crossing_counts(oc: OuterCopyGraph) -> dict:
     """Crossing counts keyed by ("in" | "out", edge).
 
     Same-page pairs cross iff their chords interleave; cross-page pairs
-    never do.
+    never do, so each page is counted as a convex graph of its own.
     """
     n = oc.base.n
     counts = {}
     for page, page_edges in (("in", oc.inside_edges), ("out", oc.outside_edges)):
-        for e in page_edges:
-            counts[(page, e)] = sum(
-                1 for f in page_edges if chords_cross(n, e, f)
-            )
+        for e, c in crossing_counts(ConvexGraph(n, page_edges)).items():
+            counts[(page, e)] = c
     return counts

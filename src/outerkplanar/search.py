@@ -319,9 +319,12 @@ def max_edges(n: int, k: int, mode: str = "general", *,
               warm_start: ConvexGraph | None = None) -> SearchResult:
     """Exact maximum edge count over the mode's graphs on n convex points.
 
-    Supported up to n = 12.  Raises BudgetExceededError (with the best
-    incumbent attached as ``result``) if ``node_budget`` search nodes are
-    exhausted first; otherwise the result is proven optimal.
+    Accepts 2 <= n <= 12 (``MAX_SEARCH_N``), but not every accepted cell is
+    proven in reasonable time: general (9,4) and (10,2), bipartite_free
+    (11,2), (11,3) and (12,0), and bipartite_alternating (12,2) are known to
+    stay unproven within 3M nodes.  Raises BudgetExceededError (with the
+    best incumbent attached as ``result``) if ``node_budget`` search nodes
+    are exhausted first; otherwise the result is proven optimal.
     """
     n, k = int(n), int(k)
     if not 2 <= n <= MAX_SEARCH_N:

@@ -25,9 +25,19 @@ def crossing_pairs_by_subsets(n, edge_set):
     return pairs
 
 
+def crossing_counts_by_subsets(n, edges):
+    """Per-edge crossing counts, in sorted-edge order, from the 4-subset rule."""
+    edge_set = set(edges)
+    counts = {e: 0 for e in sorted(edge_set)}
+    for e1, e2 in crossing_pairs_by_subsets(n, edge_set):
+        counts[e1] += 1
+        counts[e2] += 1
+    return counts
+
+
 def crossing_counts_np(n, edges):
     """Vectorized per-edge crossing counts for large instances."""
-    arr = np.asarray(sorted(edges), dtype=np.int64)
+    arr = np.asarray(sorted(edges), dtype=np.int64).reshape(-1, 2)
     a = arr[:, 0][:, None]
     b = arr[:, 1][:, None]
     c = arr[:, 0][None, :]
@@ -36,6 +46,27 @@ def crossing_counts_np(n, edges):
     shared = (a == c) | (a == d) | (b == c) | (b == d)
     cross = inter & ~shared
     return dict(zip(map(tuple, arr.tolist()), cross.sum(axis=1).tolist()))
+
+
+def degeneracy_order_by_rescan(n, edges):
+    """Minimum-degree removal by the definition: at every step rescan the
+    remaining vertices for the smallest (degree, index)."""
+    adj = [set() for _ in range(n)]
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    alive = set(range(n))
+    order = []
+    degeneracy = 0
+    while alive:
+        v = min(alive, key=lambda u: (len(adj[u]), u))
+        degeneracy = max(degeneracy, len(adj[v]))
+        order.append(v)
+        alive.discard(v)
+        for u in adj[v]:
+            adj[u].discard(v)
+        adj[v] = set()
+    return order, degeneracy
 
 
 def brute_max_edges(n, k, coloring=None, seed_best=0):

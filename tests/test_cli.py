@@ -188,6 +188,25 @@ def test_verify_bad_inputs(tmp_path):
     assert code == 3
 
 
+def test_verify_checks_k_before_counting(tmp_path, monkeypatch):
+    import outerkplanar.cli as cli
+
+    def refuse(g):
+        raise AssertionError("verify counted crossings before checking --k")
+
+    monkeypatch.setattr(cli, "crossing_counts", refuse)
+    monkeypatch.setattr(cli, "degeneracy_order", refuse)
+    good = tmp_path / "good.json"
+    good.write_text('{"n": 4, "edges": [[0, 2], [1, 3]]}')
+    code, payload = invoke_json("verify", str(good), "--k", "-1")
+    assert code == 2 and payload["error"]["code"] == "invalid-flags"
+
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    code, payload = invoke_json("verify", str(bad), "--k", "-1")
+    assert code == 3 and payload["error"]["code"] == "malformed-json"
+
+
 def test_search_basic():
     code, payload = invoke_json("search", "--n", "6", "--k", "2")
     assert code == 0

@@ -18,7 +18,7 @@ from outerkplanar import (
     outercopy,
     outercopy_crossing_counts,
 )
-from conftest import crossing_counts_np
+from conftest import crossing_counts_by_subsets, crossing_counts_np
 
 
 def test_complete_and_cycle():
@@ -190,6 +190,19 @@ def test_outercopy_crossing_counts():
     assert set(k for k in counts if k[0] == "out") == {
         ("out", e) for e in oc.outside_edges
     }
+
+
+def test_outercopy_crossing_counts_per_page_oracle():
+    """Each page is counted on its own by the pairwise oracle, in page order."""
+    for g in (complete_graph(7), kx_chain(5, 3), kxx_chain(3, 3), cycle_graph(6),
+              ConvexGraph(5, [(0, 2)]), ConvexGraph(4, [(0, 1)])):
+        oc = outercopy(g)
+        expect = {}
+        for page, edges in (("in", oc.inside_edges), ("out", oc.outside_edges)):
+            for e, c in crossing_counts_by_subsets(g.n, edges).items():
+                expect[(page, e)] = c
+        counts = outercopy_crossing_counts(oc)
+        assert list(counts.items()) == list(expect.items()), g
 
 
 def test_large_chain_against_vectorized_counter():

@@ -22,7 +22,13 @@ from outerkplanar import (
     max_crossing,
     to_json_dict,
 )
-from conftest import crossing_pairs_by_subsets, random_graph
+from conftest import (
+    crossing_counts_by_subsets,
+    crossing_counts_np,
+    crossing_pairs_by_subsets,
+    degeneracy_order_by_rescan,
+    random_graph,
+)
 
 
 def test_cross_basic():
@@ -209,10 +215,43 @@ def test_crossing_counts_random_against_oracle(rng):
         n = rng.randrange(4, 10)
         edges = random_graph(rng, n, p=0.5)
         g = ConvexGraph(n, edges)
+        assert crossing_counts(g) == crossing_counts_by_subsets(n, g.edges)
+
+
+def _kernel_cases():
+    yield ConvexGraph(2, [])
+    yield ConvexGraph(2, [(0, 1)])
+    for n in (3, 7, 12):
+        yield ConvexGraph(n, [])
+        yield ConvexGraph(n, [(i, (i + 1) % n) for i in range(n)])  # hull only
+        for centre in (0, n // 2, n - 1):
+            yield ConvexGraph(n, [(centre, v) for v in range(n) if v != centre])
+        yield ConvexGraph(n, itertools.combinations(range(n), 2))  # K_n
+
+
+def test_crossing_counts_edge_cases():
+    """n = 2, empty, hull-only, stars and K_n against both oracles."""
+    for g in _kernel_cases():
         counts = crossing_counts(g)
-        pairs = crossing_pairs_by_subsets(n, set(g.sorted_edges()))
-        expect = {e: 0 for e in g.edges}
-        for e1, e2 in pairs:
-            expect[e1] += 1
-            expect[e2] += 1
-        assert counts == expect
+        expect = crossing_counts_by_subsets(g.n, g.sorted_edges())
+        assert list(counts.items()) == list(expect.items()), g
+        assert counts == crossing_counts_np(g.n, g.sorted_edges()), g
+
+
+def test_crossing_counts_scale_against_vectorized_counter():
+    g = kx_chain(10, 40)
+    counts = crossing_counts(g)
+    assert list(counts) == g.sorted_edges()
+    assert counts == crossing_counts_np(g.n, g.sorted_edges())
+    assert max(counts.values()) == 16
+
+
+def test_degeneracy_order_matches_rescan(rng):
+    """The heap order is the rescan order: smallest degree, then index."""
+    for trial in range(200):
+        n = rng.randrange(2, 31)
+        edges = random_graph(rng, n, p=rng.random())
+        g = ConvexGraph(n, edges)
+        assert degeneracy_order(g) == degeneracy_order_by_rescan(n, g.edges)
+    for g in _kernel_cases():
+        assert degeneracy_order(g) == degeneracy_order_by_rescan(g.n, g.edges)
