@@ -27,7 +27,7 @@ for blocks in (2, 5, 20):
 # sparse structure underneath: degeneracy caps the greedy colors
 g = kx_chain(4, 3)
 order, degen = degeneracy_order(g)
-colors, ncolors = greedy_color(g)
+colors, ncolors = greedy_color(g, order)
 print(f"\nkx_chain(4,3): degeneracy {degen}, greedy colors {ncolors} "
       f"(<= degeneracy+1 = {degen + 1})")
 

@@ -331,8 +331,8 @@ class _Bound(NamedTuple):
 # table order.
 _BOUNDS = (
     _Bound("general", "upper", "small_k", _small_k, "small-k table",
-           n_from=3, k_to=4, conditional_k=(4,),
-           valid_when="n >= 3 and k <= 3 (k = 4 conditional)"),
+           n_from=3, k_to=4, conditional_k=(3, 4),
+           valid_when="n >= 3 and k <= 2 (k = 3, 4 conditional)"),
     _Bound("general", "upper", "lazy", lambda n, k: 2.85 * math.sqrt(k) * n,
            "two-page doubling + multigraph crossing lemma", k_from=5),
     _Bound("general", "upper", "common",
@@ -391,7 +391,7 @@ def general_upper(n: int, k: int, variant: str = "common", *, k_min: int = DEFAU
     """Upper bound on edges of an outer k-planar graph on n vertices.
 
     Raises NotApplicableError when the variant's validity window excludes
-    (n, k).  A conditionally established value (``small_k`` at k = 4) is
+    (n, k).  A conditionally established value (``small_k`` at k = 3, 4) is
     returned like the others; consumers that need unconditional bounds
     should use the ``valid`` flag of ``bound_report``.
     """

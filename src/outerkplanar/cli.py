@@ -235,8 +235,8 @@ def _cmd_verify(args) -> str:
         raise CliError("invalid-flags", "--k must be non-negative")
     counts = crossing_counts(g)
     worst = max(counts.values(), default=0)
-    _, degeneracy = degeneracy_order(g)
-    _, ncolors = greedy_color(g)
+    order, degeneracy = degeneracy_order(g)
+    _, ncolors = greedy_color(g, order)
     payload = {"n": g.n, "m": g.m}
     if args.k is not None:
         payload["k"] = args.k

@@ -253,11 +253,14 @@ def degeneracy_order(g: ConvexGraph) -> tuple[list[int], int]:
     degeneracy : int
         The largest degree observed at removal time.
     """
-    adj = g.adjacency()
+    return _degeneracy(g.adjacency())
+
+
+def _degeneracy(adj: list[set[int]]) -> tuple[list[int], int]:
     deg = [len(nb) for nb in adj]
     heap = [(d, v) for v, d in enumerate(deg)]
     heapq.heapify(heap)
-    removed = [False] * g.n
+    removed = [False] * len(adj)
     order = []
     degeneracy = 0
     while heap:
@@ -274,14 +277,16 @@ def degeneracy_order(g: ConvexGraph) -> tuple[list[int], int]:
     return order, degeneracy
 
 
-def greedy_color(g: ConvexGraph) -> tuple[dict[int, int], int]:
+def greedy_color(g: ConvexGraph, order: list[int] | None = None) -> tuple[dict[int, int], int]:
     """Greedy coloring along the reverse degeneracy order.
 
     Each vertex gets the smallest color absent from its already-colored
-    neighbors, so the color count never exceeds degeneracy + 1.
+    neighbors, so the color count never exceeds degeneracy + 1.  A caller
+    that already holds ``degeneracy_order(g)[0]`` may pass it as ``order``.
     """
-    order, _ = degeneracy_order(g)
     adj = g.adjacency()
+    if order is None:
+        order, _ = _degeneracy(adj)
     colors: dict[int, int] = {}
     for v in reversed(order):
         taken = {colors[u] for u in adj[v] if u in colors}

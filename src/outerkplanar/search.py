@@ -14,10 +14,12 @@ length, then lexicographic) and branches include/exclude on the first
 still-addable candidate.  Feasibility is monotone (an edge that cannot be
 added now can never be added later), so each node filters its parent's
 candidate list.  Pruning uses ``upper_prune``, an admissible optimistic
-bound; in general mode the very first included edge is additionally
-restricted to the lexicographically least chord of its length class,
-which is safe because rotations act transitively on chords of any fixed
-length.
+bound.  One dominance rule skips branches: once the include branch of a
+chord that crosses no candidate has been searched, its exclude branch is
+not, because adding that chord to any graph of the exclude branch keeps
+it feasible and gains an edge.  Hull edges cross nothing, so in general
+mode every searched graph contains the first candidate, the hull edge
+(0, 1), which also leaves no rotation of the first edge to try.
 
 Everything is deterministic: the incumbent only updates on strict
 improvement, so repeated runs return byte-identical results, including
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from .bounds import _BOUNDS, DEFAULT_K_MIN
 from .errors import BudgetExceededError
@@ -115,6 +118,23 @@ def _candidate_list(n: int, coloring) -> list[tuple[int, int]]:
     return cands
 
 
+def _cross_table(n: int, cands) -> list[int]:
+    """Bitmask per candidate of the candidates it crosses.
+
+    Of the three pairings of a 4-subset a < b < c < d only (a, c), (b, d)
+    crosses, so the table costs C(n, 4) lookups instead of m^2 tests.
+    """
+    index = {e: i for i, e in enumerate(cands)}
+    cross = [0] * len(cands)
+    for a, b, c, d in combinations(range(n), 4):
+        i = index.get((a, c))
+        j = index.get((b, d))
+        if i is not None and j is not None:
+            cross[i] |= 1 << j
+            cross[j] |= 1 << i
+    return cross
+
+
 def upper_prune(n: int, k: int, state, remaining, *, bipartite: bool = False) -> int:
     """Admissible optimistic bound on the best completion of a partial graph.
 
@@ -161,35 +181,21 @@ class _Incumbent:
         self.best_coloring = None
 
 
-def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
-           use_root_symmetry: bool) -> None:
+def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int) -> None:
     """Branch and bound over one fixed coloring (None = unconstrained)."""
     cands = _candidate_list(n, coloring)
     m_cand = len(cands)
-    cross = [0] * m_cand
-    for i in range(m_cand):
-        for j in range(i + 1, m_cand):
-            if chords_cross(n, cands[i], cands[j]):
-                cross[i] |= 1 << j
-                cross[j] |= 1 << i
-
-    root_reps = None
-    if use_root_symmetry:
-        root_reps = set()
-        seen = set()
-        for i, e in enumerate(cands):
-            length = chord_length(n, e)
-            if length not in seen:
-                seen.add(length)
-                root_reps.add(i)
+    cross = _cross_table(n, cands)
 
     counts = [0] * m_cand
     included = 0
     sat = 0  # included edges whose crossing count has reached k
     cap = 0  # total crossing headroom sum(k - counts[e]) over included edges
     m_inc = 0
+    n_costs = min(k, m_cand) + 1  # a candidate's cost never exceeds k or m_inc
 
-    def dfs(feas):
+    def dfs(feas, per_cost):
+        # per_cost[c] is the number of candidates in feas with cost c
         nonlocal included, sat, cap, m_inc
         inc.nodes += 1
         if m_inc > inc.best:
@@ -203,74 +209,90 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
         ub = m_inc + len(feas)
         if static_ub < ub:
             ub = static_ub
-        if included:
-            c_min = min(c for _, c in feas)
-            if c_min > 0:
-                cap_bound = m_inc + cap // c_min
-                if cap_bound < ub:
-                    ub = cap_bound
+        if included and not per_cost[0]:
+            c_min = 1
+            while not per_cost[c_min]:
+                c_min += 1
+            cap_bound = m_inc + cap // c_min
+            if cap_bound < ub:
+                ub = cap_bound
         if ub <= inc.best:
             return
         (i0, c0) = feas[0]
         rest = feas[1:]
-        if not (root_reps is not None and included == 0 and i0 not in root_reps):
-            # include branch
-            touched = cross[i0] & included
-            included |= 1 << i0
-            m_inc += 1
-            cap += k - 2 * c0
-            counts[i0] = c0
-            newly_sat = (1 << i0) if c0 == k else 0
-            t = touched
-            while t:
-                low = t & -t
-                j = low.bit_length() - 1
-                counts[j] += 1
-                if counts[j] == k:
-                    newly_sat |= low
-                t ^= low
-            sat |= newly_sat
-            bit0 = 1 << i0
-            new_feas = []
-            for (i, c) in rest:
-                ci = cross[i]
-                c2 = c + 1 if ci & bit0 else c
-                if c2 > k or ci & sat:
-                    continue
-                new_feas.append((i, c2))
-            dfs(new_feas)
-            # undo
-            sat &= ~newly_sat
-            t = touched
-            while t:
-                low = t & -t
-                counts[low.bit_length() - 1] -= 1
-                t ^= low
-            counts[i0] = 0
-            cap -= k - 2 * c0
-            m_inc -= 1
-            included &= ~(1 << i0)
+        # include branch
+        touched = cross[i0] & included
+        included |= 1 << i0
+        m_inc += 1
+        cap += k - 2 * c0
+        counts[i0] = c0
+        newly_sat = (1 << i0) if c0 == k else 0
+        t = touched
+        while t:
+            low = t & -t
+            j = low.bit_length() - 1
+            counts[j] += 1
+            if counts[j] == k:
+                newly_sat |= low
+            t ^= low
+        sat |= newly_sat
+        bit0 = 1 << i0
+        new_feas = []
+        new_per_cost = [0] * n_costs
+        for (i, c) in rest:
+            ci = cross[i]
+            c2 = c + 1 if ci & bit0 else c
+            if c2 > k or ci & sat:
+                continue
+            new_feas.append((i, c2))
+            new_per_cost[c2] += 1
+        dfs(new_feas, new_per_cost)
+        # undo
+        sat &= ~newly_sat
+        t = touched
+        while t:
+            low = t & -t
+            counts[low.bit_length() - 1] -= 1
+            t ^= low
+        counts[i0] = 0
+        cap -= k - 2 * c0
+        m_inc -= 1
+        included &= ~(1 << i0)
+        if not cross[i0]:
+            # Dominance: i0 crosses no candidate, so adding it to any
+            # completion of the exclude branch stays feasible and gains
+            # an edge; the include branch just searched holds a
+            # strictly better graph, and the incumbent already has it.
+            return
         # exclude branch
-        dfs(rest)
+        per_cost[c0] -= 1
+        dfs(rest, per_cost)
+        per_cost[c0] += 1
 
-    dfs([(i, 0) for i in range(m_cand)])
+    per_cost = [0] * n_costs
+    per_cost[0] = m_cand
+    dfs([(i, 0) for i in range(m_cand)], per_cost)
 
 
 def _canonical_colorings(n: int) -> list[tuple[int, ...]]:
-    """All 2-colorings with vertex 0 on side 0, one per dihedral/swap orbit."""
+    """All 2-colorings with vertex 0 on side 0, one per dihedral/swap orbit.
+
+    Vertex i > 0 takes bit i - 1 of the loop counter, and a coloring is
+    kept when, read as a tuple, it is the least of its orbit.  The orbit
+    is tested on n-bit ints whose most significant bit is vertex 0, so
+    that integer order is tuple order: the images are the rotations of
+    the coloring and of its reversal (the reflections), and their
+    complements (the color swap).
+    """
+    mask = (1 << n) - 1
     reps = []
     for bits in range(1 << (n - 1)):
-        c = tuple(0 if i == 0 else (bits >> (i - 1)) & 1 for i in range(n))
-        smallest = c
-        for sign in (1, -1):
-            for t in range(n):
-                img = tuple(c[(sign * i + t) % n] for i in range(n))
-                for flip in (0, 1):
-                    cand = tuple(v ^ flip for v in img) if flip else img
-                    if cand < smallest:
-                        smallest = cand
-        if c == smallest:
-            reps.append(c)
+        value = int(format(bits, f"0{n - 1}b")[::-1], 2)  # vertex i at bit n-1-i
+        mirrored = int(format(value, f"0{n}b")[::-1], 2)
+        images = (((word << t) | (word >> (n - t))) & mask
+                  for word in (value, mirrored) for t in range(n))
+        if all(value <= img and value <= img ^ mask for img in images):
+            reps.append(tuple((value >> (n - 1 - i)) & 1 for i in range(n)))
     return reps
 
 
@@ -320,9 +342,10 @@ def max_edges(n: int, k: int, mode: str = "general", *,
     """Exact maximum edge count over the mode's graphs on n convex points.
 
     Accepts 2 <= n <= 12 (``MAX_SEARCH_N``), but not every accepted cell is
-    proven in reasonable time: general (9,4) and (10,2), bipartite_free
-    (11,2), (11,3) and (12,0), and bipartite_alternating (12,2) are known to
-    stay unproven within 3M nodes.  Raises BudgetExceededError (with the
+    proven in reasonable time.  Of the cells with k <= 6, these stay
+    unproven within 3M nodes: general (10,4-6), (11,3-6) and (12,2-6),
+    bipartite_free (12,3-6) and bipartite_consecutive (12,5-6); every
+    bipartite_alternating cell proves.  Raises BudgetExceededError (with the
     best incumbent attached as ``result``) if ``node_budget`` search nodes
     are exhausted first; otherwise the result is proven optimal.
     """
@@ -346,7 +369,7 @@ def max_edges(n: int, k: int, mode: str = "general", *,
         inc.best_coloring = warm.coloring
     try:
         for coloring in _mode_colorings(n, mode):
-            _solve(inc, n, k, coloring, static_ub, use_root_symmetry=not bipartite)
+            _solve(inc, n, k, coloring, static_ub)
     except BudgetExceededError as exc:
         witness = ConvexGraph(n, inc.best_edges, inc.best_coloring)
         partial = SearchResult(

@@ -69,6 +69,26 @@ def degeneracy_order_by_rescan(n, edges):
     return order, degeneracy
 
 
+def canonical_colorings_by_tuples(n):
+    """Orbit representatives of the 2-colorings by the definition: vertex i > 0
+    takes bit i - 1 of the counter, and a coloring is kept when no rotation,
+    reflection or color swap of it is a lexicographically smaller tuple."""
+    reps = []
+    for bits in range(1 << (n - 1)):
+        c = tuple(0 if i == 0 else (bits >> (i - 1)) & 1 for i in range(n))
+        smallest = c
+        for sign in (1, -1):
+            for t in range(n):
+                img = tuple(c[(sign * i + t) % n] for i in range(n))
+                for flip in (0, 1):
+                    cand = tuple(v ^ flip for v in img) if flip else img
+                    if cand < smallest:
+                        smallest = cand
+        if c == smallest:
+            reps.append(c)
+    return reps
+
+
 def brute_max_edges(n, k, coloring=None, seed_best=0):
     """Reference exact searcher: lex edge order, counting prune only.
 

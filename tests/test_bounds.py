@@ -24,8 +24,10 @@ def test_small_k_table_values():
     assert general_upper(100, 1, "small_k") == 246.0
     assert general_upper(100, 2, "small_k") == 295.0
     assert general_upper(100, 3, "small_k") == 319.0
-    # k = 4 is the conditional row
+    # k = 3 and 4 are the conditional rows: (6,3) and (10,3) have 14 and 27
+    # edges, one more than 3.25n - 6 allows
     assert general_upper(100, 4, "small_k") == 344.0
+    assert {e.name: e.valid for e in bound_report(10, 3).entries}["small_k"] == "conditional"
     with pytest.raises(NotApplicableError):
         general_upper(100, 5, "small_k")
     # at n = 2 the affine forms undercut the single edge

@@ -96,13 +96,13 @@ def test_byte_stability():
 
 
 # sha256 of sweep stdout over n 2..60, k 0..40 with --k-threshold 3, per
-# (family, format), as the bound evaluators printed it before they were
-# read from one table.  A deliberate change to a bound (a value, window or
-# status, such as marking the k = 3 small-k row conditional) changes these
-# digests; update them in the same change and say so in CHANGES.md.
+# (family, format).  A deliberate change to a bound (a value, window or
+# status) changes these digests; update them in the same change and say so
+# in CHANGES.md.  The general ones were last regenerated when the k = 3
+# small-k row became conditional: (6,3) and (10,3) beat 3.25n - 6.
 SWEEP_DIGESTS = {
-    ("general", "json"): "6f269b9cf7059b5f83a1dee671e2e89b4477fd326672169355b1a7e4bbe8e0e1",
-    ("general", "csv"): "7d79f54833f3f3c3cf41f1fd1b3b46a66a385f281d2e47db0b81e38dd831bbee",
+    ("general", "json"): "2d1df65344deb140714329e33b58d34edba7fa5cd0e34e79d2a072616ff005d3",
+    ("general", "csv"): "b7db18a9722d73496543d9fdf28874213d2b80a1522e8a666af7d2b6f1106782",
     ("bipartite", "json"): "a88e1aeb2f48036896050b9393886e5df4d78fa00ebe3083a05f7cc973f12734",
     ("bipartite", "csv"): "cea6235c0771a3377d7a6406e8cc083aff9711fd6bb2abebf250d3ff825508cd",
 }
@@ -215,6 +215,23 @@ def test_search_basic():
     assert payload["settings"] == {"n": 6, "k": 2, "mode": "general"}
     assert payload["witness"]["n"] == 6
     assert len(payload["witness"]["edges"]) == 12
+
+
+def test_readme_search_example():
+    """The README's `search` example prints what the command prints; the
+    lines the README elides with "..." are not compared."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    command = "$ outerkplanar search --n 8 --k 2\n"
+    block = readme[readme.index(command) + len(command):].split("\n}\n", 1)[0]
+    code, payload = invoke_json(*command[len("$ outerkplanar "):].split())
+    assert code == 0
+    shown = {}
+    for line in block.splitlines()[1:]:
+        key, sep, value = line.strip().partition(": ")
+        if sep and "..." not in value:
+            shown[json.loads(key)] = json.loads(value.rstrip(","))
+    assert list(shown) == ["max_edges", "proven_optimal", "nodes_explored"]
+    assert shown == {key: payload[key] for key in shown}
 
 
 def test_search_bipartite_mode():

@@ -163,9 +163,10 @@ def test_greedy_color_random(rng):
         n = rng.randrange(3, 10)
         g = ConvexGraph(n, random_graph(rng, n, p=0.45))
         colors, ncolors = greedy_color(g)
-        _, d = degeneracy_order(g)
+        order, d = degeneracy_order(g)
         assert all(colors[a] != colors[b] for a, b in g.edges)
         assert ncolors <= d + 1
+        assert greedy_color(g, order) == (colors, ncolors)
 
 
 def test_bipartition():

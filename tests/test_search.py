@@ -1,6 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
-from conftest import brute_best_completion, brute_max_edges
+from conftest import brute_best_completion, brute_max_edges, canonical_colorings_by_tuples
 from outerkplanar import (
     BudgetExceededError,
     ConvexGraph,
@@ -13,6 +16,13 @@ from outerkplanar import (
     kxx_alternating,
     max_edges,
     upper_prune,
+)
+from outerkplanar.geometry import chords_cross
+from outerkplanar.search import (
+    _candidate_list,
+    _canonical_colorings,
+    _cross_table,
+    _mode_colorings,
 )
 
 
@@ -32,7 +42,8 @@ def test_known_grid_n8():
 
 def test_known_grid_n6():
     got = [max_edges(6, k).max_edges for k in range(4)]
-    assert got == [9, 11, 12, 13]
+    # 14 at k = 3: K_6 minus one long diagonal; 3.25n - 6 = 13 is no bound
+    assert got == [9, 11, 12, 14]
     assert max_edges(6, 4).max_edges == 15  # K6 is outer 4-planar
 
 
@@ -52,8 +63,8 @@ def test_witnesses_are_valid():
 
 
 def test_agrees_with_reference_search():
-    for n in range(2, 8):
-        for k in range(3):
+    for n in range(2, 9):
+        for k in range(5):
             assert max_edges(n, k).max_edges == brute_max_edges(n, k), (n, k)
 
 
@@ -223,3 +234,59 @@ def test_canonical_form_dihedral_invariance(rng):
 def test_search_result_settings():
     res = max_edges(6, 1, "bipartite_free")
     assert res.settings == {"n": 6, "k": 1, "mode": "bipartite_free"}
+
+
+def test_canonical_colorings_match_tuple_oracle():
+    for n in range(2, 13):
+        assert _canonical_colorings(n) == canonical_colorings_by_tuples(n), n
+
+
+def test_cross_table_matches_pairwise_rule():
+    for n in range(2, 13):
+        for mode in SEARCH_MODES:
+            if mode == "bipartite_alternating" and n % 2:
+                continue
+            for coloring in _mode_colorings(n, mode):
+                cands = _candidate_list(n, coloring)
+                want = [sum(1 << j for j, f in enumerate(cands) if chords_cross(n, e, f))
+                        for e in cands]
+                assert _cross_table(n, cands) == want, (n, coloring)
+
+
+# Every mode at n <= 9, k <= 4, except general (9,3) and (9,4), which
+# take seconds rather than milliseconds to prove.
+DIGEST_CELLS = [
+    (mode, n, k)
+    for mode in SEARCH_MODES
+    for n in range(2, 10)
+    if not (mode == "bipartite_alternating" and n % 2)
+    for k in range(5)
+    if (mode, n, k) not in {("general", 9, 3), ("general", 9, 4)}
+]
+# sha256 over those cells of (mode, n, k, max_edges, witness edges,
+# coloring), as the search printed them before dominance pruning, the
+# 4-subset crossing table and integer colorings came in (with the k = 3
+# small-k row already conditional).
+SEARCH_DIGEST = "472df695ed2e555956851c6032b962c8ce7e3a53861f03de5131733d2e086924"
+
+
+def test_search_results_frozen():
+    h = hashlib.sha256()
+    for mode, n, k in DIGEST_CELLS:
+        res = max_edges(n, k, mode)
+        assert res.proven_optimal
+        row = [mode, n, k, res.max_edges, res.witness.sorted_edges(), res.witness.coloring]
+        h.update(json.dumps(row).encode())
+    assert h.hexdigest() == SEARCH_DIGEST
+
+
+def test_nodes_explored_frozen():
+    # nodes_explored is printed output too: a pruning change that moves
+    # these counts updates them and lists the change in CHANGES.md.
+    # (bipartite_consecutive, 10, 4) is one of the few cells where the
+    # exclude branch's per-cost counts decide a capacity prune.
+    want = {("general", 8, 3): 18479, ("bipartite_free", 8, 3): 647,
+            ("bipartite_alternating", 10, 2): 1113,
+            ("bipartite_consecutive", 10, 4): 38706}
+    got = {cell: max_edges(cell[1], cell[2], cell[0]).nodes_explored for cell in want}
+    assert got == want
