@@ -28,7 +28,7 @@ from .bounds import (
     maxmindeg_bound,
 )
 from .circulant import (
-    MAXCUT_N_BUDGET,
+    MAXCUT_WORK_BUDGET,
     CirculantSpec,
     Cut,
     adjacency_eigenvalue,
@@ -131,7 +131,7 @@ __all__ = [
     "maxmindeg_bound",
     "bound_report",
     # circulant
-    "MAXCUT_N_BUDGET",
+    "MAXCUT_WORK_BUDGET",
     "CirculantSpec",
     "Cut",
     "dirichlet_kernel",

@@ -3,9 +3,10 @@
 Everything here is deliberately written against the definitions, not
 against the library internals: crossings come from 4-subsets, the
 reference searcher branches in plain lexicographic order with only the
-counting prune, and the numpy crossing counter vectorizes the raw
-interleaving comparison.  Agreement between these and the package is
-what the tests actually check.
+counting prune, the numpy crossing counter vectorizes the raw
+interleaving comparison, and the circulant max-cut oracle scores every
+side vector.  Agreement between these and the package is what the tests
+actually check.
 """
 
 import itertools
@@ -182,6 +183,35 @@ def circulant_adjacency(n, r):
             A[i, (i + d) % n] = 1
             A[i, (i - d) % n] = 1
     return A
+
+
+def maxcut_by_enumeration(n, r):
+    """Maximum cut of C_n^{1..r} by scoring all 2^(n-1) side assignments.
+
+    Vertex 0 is pinned to side 0.  Assignments are scanned in increasing
+    order of the side vector read as a binary number (vertex 0 most
+    significant) and the incumbent only updates on strict improvement, so
+    the witness is the lexicographically smallest maximizing side vector.
+    Returns (value, sides).
+    """
+    chunk_size = 1 << 20
+    total = 1 << (n - 1)
+    mask = np.uint64((1 << n) - 1)
+    best_val = -1
+    best_x = 0
+    for start in range(0, total, chunk_size):
+        stop = min(start + chunk_size, total)
+        xs = np.arange(start, stop, dtype=np.uint64)
+        vals = np.zeros(stop - start, dtype=np.int64)
+        for d in range(1, r + 1):
+            rot = ((xs << np.uint64(d)) | (xs >> np.uint64(n - d))) & mask
+            vals += np.bitwise_count(xs ^ rot)
+        i = int(np.argmax(vals))
+        if int(vals[i]) > best_val:
+            best_val = int(vals[i])
+            best_x = start + i
+    sides = tuple((best_x >> (n - 1 - i)) & 1 for i in range(n))
+    return best_val, sides
 
 
 @pytest.fixture

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import circulant_adjacency
+from conftest import circulant_adjacency, maxcut_by_enumeration
 from outerkplanar import (
+    MAXCUT_WORK_BUDGET,
     BudgetExceededError,
     CirculantSpec,
     Cut,
@@ -163,10 +164,13 @@ def test_exact_maxcut_frozen():
     assert cut.sides == (0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 1, 1)
 
 
-def test_exact_maxcut_chunking_is_invisible():
-    default = exact_maxcut(CirculantSpec(12, 3))
-    chunked = exact_maxcut(CirculantSpec(12, 3), chunk_size=17)
-    assert default == chunked
+def test_exact_maxcut_matches_enumeration():
+    # value and witness (the lexicographically smallest maximizing side
+    # vector) must both agree with scoring every side vector
+    for r in range(1, 7):
+        for n in range(2 * r + 1, 21):
+            value, sides = maxcut_by_enumeration(n, r)
+            assert exact_maxcut(CirculantSpec(n, r)) == Cut(sides=sides, value=value), (n, r)
 
 
 def test_exact_maxcut_against_itertools():
@@ -179,8 +183,28 @@ def test_exact_maxcut_against_itertools():
 
 
 def test_exact_maxcut_budget():
+    # the cap is on the work n*4^r: r = 7 fits up to n = 256
+    assert 256 * 4**7 == MAXCUT_WORK_BUDGET
     with pytest.raises(BudgetExceededError):
-        exact_maxcut(CirculantSpec(29, 3))
+        exact_maxcut(CirculantSpec(257, 7))
+    with pytest.raises(BudgetExceededError):
+        exact_maxcut(CirculantSpec(19, 9))
+    assert exact_maxcut(CirculantSpec(29, 3)).value == 58
+    assert exact_maxcut(CirculantSpec(400, 3)).value == 800
+
+
+def test_exact_maxcut_at_large_n():
+    # the exact <= mohar <= lemma sandwich and xor duality at n in the hundreds
+    for n in (100, 250, 400):
+        for r in range(1, 5):
+            spec = CirculantSpec(n, r)
+            cut = exact_maxcut(spec)
+            assert cut.value <= mohar_bound(spec) + 1e-9 <= lemma_maxcut_bound(spec) + 1e-9
+            assert cut_value(spec, cut.sides) == cut.value
+            assert xor_sum(cut.sides, r) == 2 * cut.value
+            assert cut.sides[0] == 0
+            if r == 1:  # the even cycle is bipartite: every edge is cut
+                assert cut.value == n
 
 
 def test_xor_sum_examples():

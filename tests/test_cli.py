@@ -302,7 +302,8 @@ def test_circulant_exact():
 
 
 def test_circulant_errors():
-    code, payload = invoke_json("circulant", "--n", "29", "--r", "3",
+    # just past the work cap n*4^r <= 2^22
+    code, payload = invoke_json("circulant", "--n", "257", "--r", "7",
                                 "--method", "exact")
     assert code == 5 and payload["error"]["code"] == "budget-exceeded"
     code, payload = invoke_json("circulant", "--n", "8", "--r", "0",
