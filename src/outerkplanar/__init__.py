@@ -6,6 +6,10 @@ The package provides the crossing predicate and graph type (geometry),
 extremal generators (constructions), closed-form upper and lower bounds
 (bounds), exact branch-and-bound search for small n (search), max-cut
 machinery for circulant graphs C_n^{1..r} (circulant), and a CLI (cli).
+
+The circulant names are resolved on first access (PEP 562), so that
+importing the package, or running a CLI subcommand other than
+``circulant`` and ``xorsum``, loads neither that module nor numpy.
 """
 
 from .bounds import (
@@ -26,23 +30,6 @@ from .bounds import (
     general_lower_closed_form,
     general_upper,
     maxmindeg_bound,
-)
-from .circulant import (
-    MAXCUT_WORK_BUDGET,
-    CirculantSpec,
-    Cut,
-    adjacency_eigenvalue,
-    adjacency_eigenvalues,
-    cut_value,
-    dirichlet_kernel,
-    dirichlet_kernel_closed,
-    exact_maxcut,
-    laplacian_lambda_max,
-    lemma_maxcut_bound,
-    mercer_inner,
-    mercer_min_bound,
-    mohar_bound,
-    xor_sum,
 )
 from .constructions import (
     OuterCopyGraph,
@@ -83,6 +70,24 @@ from .search import (
 )
 
 __version__ = "0.1.0"
+
+_CIRCULANT_EXPORTS = (
+    "MAXCUT_WORK_BUDGET",
+    "CirculantSpec",
+    "Cut",
+    "dirichlet_kernel",
+    "dirichlet_kernel_closed",
+    "adjacency_eigenvalue",
+    "adjacency_eigenvalues",
+    "laplacian_lambda_max",
+    "mohar_bound",
+    "mercer_inner",
+    "mercer_min_bound",
+    "lemma_maxcut_bound",
+    "cut_value",
+    "exact_maxcut",
+    "xor_sum",
+)
 
 __all__ = [
     "__version__",
@@ -131,21 +136,7 @@ __all__ = [
     "maxmindeg_bound",
     "bound_report",
     # circulant
-    "MAXCUT_WORK_BUDGET",
-    "CirculantSpec",
-    "Cut",
-    "dirichlet_kernel",
-    "dirichlet_kernel_closed",
-    "adjacency_eigenvalue",
-    "adjacency_eigenvalues",
-    "laplacian_lambda_max",
-    "mohar_bound",
-    "mercer_inner",
-    "mercer_min_bound",
-    "lemma_maxcut_bound",
-    "cut_value",
-    "exact_maxcut",
-    "xor_sum",
+    *_CIRCULANT_EXPORTS,
     # search
     "MAX_SEARCH_N",
     "SEARCH_MODES",
@@ -157,3 +148,17 @@ __all__ = [
     "NotApplicableError",
     "BudgetExceededError",
 ]
+
+
+def __getattr__(name):
+    if name == "circulant" or name in _CIRCULANT_EXPORTS:
+        # not `from . import circulant`: that asks this hook for the name again
+        from importlib import import_module
+
+        module = import_module(f"{__name__}.circulant")
+        return module if name == "circulant" else getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_CIRCULANT_EXPORTS})

@@ -29,16 +29,24 @@ smallest side vector.
 ``xor_sum`` is the uncut-pair statistic sum_i sum_{|j| <= r} s_i xor
 s_{i+j} over a bit-string; in cyclic mode with 2r < n it equals exactly
 twice the cut value of the corresponding side assignment of C_n^{1..r}.
+
+Only the spectral functions (``dirichlet_kernel``, ``dirichlet_kernel_closed``,
+``adjacency_eigenvalue(s)``, ``laplacian_lambda_max``, ``mohar_bound``) load
+numpy, on their first call; everything else here is pure Python, so
+``circulant --method exact|lemma|lemma-refined`` and ``xorsum`` never import
+it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import BudgetExceededError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MAXCUT_WORK_BUDGET",
@@ -89,6 +97,8 @@ def dirichlet_kernel(r: int, theta):
 
     Accepts a scalar or an ndarray of angles; D_r(0) = 2r + 1 exactly.
     """
+    import numpy as np
+
     r = int(r)
     if r < 0:
         raise ValueError("r must be non-negative")
@@ -109,6 +119,8 @@ def dirichlet_kernel_closed(r: int, theta):
     Undefined at multiples of 2*pi (where the sum form should be used);
     raises there rather than returning inf/nan.
     """
+    import numpy as np
+
     r = int(r)
     if r < 0:
         raise ValueError("r must be non-negative")
@@ -134,13 +146,15 @@ def adjacency_eigenvalue(spec: CirculantSpec, j: int) -> float:
 
 def adjacency_eigenvalues(spec: CirculantSpec) -> np.ndarray:
     """All n adjacency eigenvalues, indexed by frequency j."""
+    import numpy as np
+
     thetas = 2.0 * math.pi * np.arange(spec.n) / spec.n
     return dirichlet_kernel(spec.r, thetas) - 1.0
 
 
 def laplacian_lambda_max(spec: CirculantSpec) -> float:
     """Largest Laplacian eigenvalue max_j (2r - lambda_j); lies in [0, 4r]."""
-    return float(np.max(2.0 * spec.r - adjacency_eigenvalues(spec)))
+    return float((2.0 * spec.r - adjacency_eigenvalues(spec)).max())
 
 
 def mohar_bound(spec: CirculantSpec) -> float:
@@ -284,23 +298,26 @@ def xor_sum(bits, r: int, mode: str = "cyclic") -> int:
     if isinstance(bits, str):
         if bits == "" or any(ch not in "01" for ch in bits):
             raise ValueError("bit-string must be non-empty over {0, 1}")
-        arr = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
     else:
-        arr = np.asarray(list(bits), dtype=np.int64)
-        if arr.size == 0 or not np.all((arr == 0) | (arr == 1)):
+        seq = [int(b) for b in bits]
+        if not seq or any(b not in (0, 1) for b in seq):
             raise ValueError("bits must be a non-empty 0/1 sequence")
+        bits = "".join(map(str, seq))
     r = int(r)
     if r < 1:
         raise ValueError("r must be at least 1")
-    n = arr.size
+    # s_i is bit n-1-i of x; each shift by d lines every s_i up with s_{i+d}
+    n, x = len(bits), int(bits, 2)
     if mode == "cyclic":
+        mask = (1 << n) - 1
         total = 0
         for d in range(1, r + 1):
-            total += int(np.count_nonzero(arr != np.roll(arr, -d)))
+            d %= n
+            total += (x ^ ((x << d | x >> (n - d)) & mask)).bit_count()
         return 2 * total
     if mode == "bounded":
         total = 0
         for d in range(1, min(r, n - 1) + 1):
-            total += int(np.count_nonzero(arr[:-d] != arr[d:]))
+            total += ((x ^ (x >> d)) & ((1 << (n - d)) - 1)).bit_count()
         return 2 * total
     raise ValueError(f"unknown mode {mode!r}")

@@ -30,7 +30,6 @@ import json
 import os
 import sys
 
-from . import circulant as circ
 from .bounds import (
     BIPARTITE_UPPER_VARIANTS,
     DEFAULT_K_MIN,
@@ -303,6 +302,9 @@ def _cmd_search(args) -> str:
 
 
 def _cmd_circulant(args) -> str:
+    # only this subcommand and xorsum import circulant; the others start faster
+    from . import circulant as circ
+
     _check_precision(args)
     try:
         spec = circ.CirculantSpec(args.n, args.r)
@@ -336,6 +338,8 @@ def _cmd_xorsum(args) -> str:
                        "--bits must be a nonempty string over {0,1}")
     if args.r < 1:
         raise CliError("invalid-flags", "--r must be at least 1")
+    from . import circulant as circ
+
     mode = "bounded" if args.bounded else "cyclic"
     value = circ.xor_sum(bits, args.r, mode=mode)
     return _dump({"n": len(bits), "r": args.r, "mode": mode, "value": value})

@@ -236,3 +236,51 @@ def test_xor_sum_duality_and_caps(rng):
 def test_xor_sum_bounded_truncates_r():
     # r past the string length only drops already-absent pairs
     assert xor_sum("01", 5, mode="bounded") == xor_sum("01", 1, mode="bounded")
+
+
+def xor_sum_by_double_sum(s, r, cyclic):
+    """sum_i sum_{j=-r..r} s_i xor s_{i+j}, term by term."""
+    n = len(s)
+    total = 0
+    for i in range(n):
+        for j in range(-r, r + 1):
+            if cyclic:
+                total += s[i] ^ s[(i + j) % n]
+            elif 0 <= i + j < n:
+                total += s[i] ^ s[i + j]
+    return total
+
+
+def test_xor_sum_matches_double_sum(rng):
+    # r runs past n - 1 in both modes: cyclic offsets then wrap more than once
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        r = rng.randint(1, n + 3)
+        s = [rng.randint(0, 1) for _ in range(n)]
+        bits = "".join(map(str, s))
+        assert xor_sum(bits, r) == xor_sum_by_double_sum(s, r, True)
+        assert xor_sum(bits, r, mode="bounded") == xor_sum_by_double_sum(s, r, False)
+
+
+def test_xor_sum_input_forms(rng):
+    for n in (1, 2, 7, 64, 65, 200):
+        s = [rng.randint(0, 1) for _ in range(n)]
+        for r in (1, 3, max(n - 1, 1), n, n + 2):
+            for mode in ("cyclic", "bounded"):
+                want = xor_sum("".join(map(str, s)), r, mode=mode)
+                for form in (s, tuple(s), [bool(b) for b in s], tuple(bool(b) for b in s),
+                             np.array(s, dtype=np.int64), np.array(s, dtype=np.uint8)):
+                    got = xor_sum(form, r, mode=mode)
+                    assert type(got) is int and got == want
+
+
+def test_xor_sum_rejects_bad_input():
+    for bits in ("", [], (), np.array([], dtype=np.int64), "0120", [0, 1, 2],
+                 (1, -1), np.array([0, 3])):
+        with pytest.raises(ValueError):
+            xor_sum(bits, 1)
+    for r in (0, -1):
+        with pytest.raises(ValueError):
+            xor_sum("0101", r)
+    with pytest.raises(ValueError):
+        xor_sum([0, 1, 1], 1, mode="torus")

@@ -405,6 +405,73 @@ def test_console_script():
     assert proc.stdout == "246\n", proc.stderr
 
 
+# Runs in a fresh interpreter: after each step it records which of numpy and
+# the circulant module are loaded.
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+
+def loaded():
+    return [m for m in ("numpy", "outerkplanar.circulant") if m in sys.modules]
+
+steps = {"start": loaded()}
+import outerkplanar
+steps["import outerkplanar"] = loaded()
+import outerkplanar.cli
+steps["import outerkplanar.cli"] = loaded()
+for argv in json.loads(sys.argv[1]):
+    sys.argv[1:] = argv
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = outerkplanar.cli.main()
+    steps[" ".join(argv)] = [code] + loaded()
+print(json.dumps(steps))
+"""
+
+
+def test_numpy_stays_off_the_import_path(tmp_path):
+    graph = tmp_path / "k5.json"
+    graph.write_text(invoke("construct", "complete", "--x", "5")[1])
+    calls = [
+        ["bounds", "--n", "10", "--k", "2"],
+        ["sweep", "--n-from", "6", "--n-to", "8", "--k-from", "0", "--k-to", "2"],
+        ["construct", "kx-chain", "--x", "6", "--blocks", "2"],
+        ["verify", str(graph), "--k", "2"],
+        ["search", "--n", "6", "--k", "1"],
+        ["xorsum", "--bits", "0110101", "--r", "2"],
+        ["circulant", "--n", "12", "--r", "2", "--method", "exact"],
+        ["circulant", "--n", "12", "--r", "2", "--method", "lemma-refined"],
+        ["circulant", "--n", "12", "--r", "2", "--method", "mohar"],
+    ]
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(calls)],
+                          capture_output=True, text=True, env=package_env())
+    assert proc.returncode == 0, proc.stderr
+    neither, circ, both = [], ["outerkplanar.circulant"], ["numpy", "outerkplanar.circulant"]
+    assert json.loads(proc.stdout) == {
+        "start": neither,
+        "import outerkplanar": neither,
+        "import outerkplanar.cli": neither,
+        **{" ".join(argv): [0] + neither for argv in calls[:5]},
+        **{" ".join(argv): [0] + circ for argv in calls[5:8]},
+        # the spectral bound is what numpy is for
+        " ".join(calls[8]): [0] + both,
+    }
+
+
+def test_lazy_circulant_names():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import outerkplanar as o; print(o.circulant.__name__, "
+         "o.mohar_bound is o.circulant.mohar_bound)"],
+        capture_output=True, text=True, env=package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "outerkplanar.circulant True\n"
+    assert set(outerkplanar.__all__) <= set(dir(outerkplanar))
+    namespace = {}
+    exec("from outerkplanar import *", namespace)
+    assert set(outerkplanar.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        outerkplanar.no_such_name  # noqa: B018
+
+
 def test_python_dash_m():
     proc = subprocess.run([sys.executable, "-m", "outerkplanar", *BOUNDS_ARGV],
                           capture_output=True, text=True, env=package_env())
