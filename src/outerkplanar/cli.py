@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -228,6 +229,10 @@ def _cmd_construct(args) -> str:
 # ---------------------------------------------------------------- verify
 
 
+_EDGE_ROW = ('    {\n      "edge": [\n        %d,\n        %d\n      ],\n'
+             '      "crossings": %d\n    }')
+
+
 def _cmd_verify(args) -> str:
     g = _load_graph(args.file)
     if args.k is not None and args.k < 0:
@@ -244,10 +249,14 @@ def _cmd_verify(args) -> str:
     payload["bipartite"] = is_bipartite(g)
     payload["degeneracy"] = degeneracy
     payload["greedy_colors"] = ncolors
-    payload["per_edge_crossings"] = [
-        {"edge": list(e), "crossings": counts[e]} for e in g.sorted_edges()
-    ]
-    return _dump(payload)
+    # The per-edge list is most of the output, and json.dumps with indent
+    # runs its pure-Python encoder, so the rows are written from a template
+    # that reproduces its bytes; counts is keyed in sorted-edge order.
+    head = json.dumps(payload, indent=2)[:-2]  # drop the closing "\n}"
+    if not counts:
+        return head + ',\n  "per_edge_crossings": []\n}\n'
+    rows = ",\n".join([_EDGE_ROW % (a, b, c) for (a, b), c in counts.items()])
+    return head + ',\n  "per_edge_crossings": [\n' + rows + "\n  ]\n}\n"
 
 
 # ---------------------------------------------------------------- search
@@ -469,12 +478,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state in the parser, so one serves every run()
+    return build_parser()
+
+
 def run(argv=None, out=None) -> int:
     """Parse argv, execute, write the result; return the exit code."""
     stream = sys.stdout if out is None else out
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         text = args.func(args)
     except CliError as err:
         stream.write(_dump(err.record()))

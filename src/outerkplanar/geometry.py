@@ -350,16 +350,21 @@ def from_json_dict(doc) -> ConvexGraph:
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise ValueError("'edges' must be a list of pairs")
-    pairs = []
     for e in edges:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise ValueError(f"edge entry {e!r} is not a pair")
-        pairs.append(e)
+        # ConvexGraph coerces with int(), which would take 1.7, true and "1";
+        # the type test also rejects bool, which isinstance(_, int) accepts
+        if type(e[0]) is not int or type(e[1]) is not int:
+            raise ValueError(f"edge entry {e!r} has an endpoint that is not an integer")
     coloring = doc.get("coloring")
+    if coloring is not None and not (
+            isinstance(coloring, list) and all(type(c) is int for c in coloring)):
+        raise ValueError("'coloring' must be a list of integers")
     unknown = set(doc) - {"n", "edges", "coloring"}
     if unknown:
         raise ValueError(f"unknown graph fields: {sorted(unknown)}")
-    return ConvexGraph(n, pairs, coloring)
+    return ConvexGraph(n, edges, coloring)
 
 
 def graph_to_json(g: ConvexGraph) -> str:

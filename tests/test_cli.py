@@ -188,6 +188,21 @@ def test_verify_bad_inputs(tmp_path):
     assert code == 3
 
 
+def test_loader_rejects_non_integer_values(tmp_path):
+    for name, text in (("float", '{"n": 5, "edges": [[0, 1.7]]}'),
+                       ("bool", '{"n": 5, "edges": [[0, true]]}'),
+                       ("string", '{"n": 5, "edges": [[0, "1"]]}'),
+                       ("color", '{"n": 3, "edges": [], "coloring": [0, 0.5, 1]}'),
+                       ("colors", '{"n": 3, "edges": [], "coloring": "010"}')):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        for argv in (["verify", str(path)],
+                     ["search", "--n", "5", "--k", "1", "--warm-start", str(path)]):
+            code, payload = invoke_json(*argv)
+            assert code == 3 and payload["error"]["code"] == "malformed-json", argv
+            assert "integer" in payload["error"]["message"]
+
+
 def test_verify_checks_k_before_counting(tmp_path, monkeypatch):
     import outerkplanar.cli as cli
 
@@ -205,6 +220,35 @@ def test_verify_checks_k_before_counting(tmp_path, monkeypatch):
     bad.write_text("{not json")
     code, payload = invoke_json("verify", str(bad), "--k", "-1")
     assert code == 3 and payload["error"]["code"] == "malformed-json"
+
+
+def test_cached_parser_keeps_no_state(tmp_path, monkeypatch, capsys):
+    import outerkplanar.cli as cli
+
+    _, text = invoke("construct", "complete", "--x", "5")
+    path = tmp_path / "k5.json"
+    path.write_text(text)
+    calls = (["verify", str(path), "--k", "two"],
+             ["--help"],
+             ["verify", str(path), "--k", "2"],
+             ["verify", str(path)],
+             ["search", "--n", "5", "--k", "2", "--warm-start", str(path)],
+             ["search", "--n", "5", "--k", "2"])
+
+    def outputs():
+        got = []
+        for argv in calls:
+            code, text = invoke(*argv)
+            got.append((code, text + capsys.readouterr().out))  # --help prints itself
+        return got
+
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    cached = outputs()
+    assert cached[0][0] == 2 and cached[1][0] == 0
+    assert "k" not in json.loads(cached[3][1])
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert outputs() == cached
 
 
 def test_search_basic():

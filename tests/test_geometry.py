@@ -211,6 +211,30 @@ def test_json_rejects_garbage():
         graph_from_json(json.dumps([1, 2, 3]))
 
 
+@pytest.mark.parametrize("doc", [
+    {"n": 5, "edges": [[0, 1.7]]},
+    {"n": 5, "edges": [[0, 1.0]]},
+    {"n": 5, "edges": [[0, True]]},
+    {"n": 5, "edges": [[False, 1]]},
+    {"n": 5, "edges": [[0, "1"]]},
+    {"n": 5, "edges": [[0, None]]},
+    {"n": 3, "edges": [], "coloring": [0, 0.5, 1]},
+    {"n": 3, "edges": [], "coloring": [0, True, 0]},
+    {"n": 3, "edges": [], "coloring": [0, "1", 0]},
+    {"n": 3, "edges": [], "coloring": "010"},
+    {"n": 3, "edges": [], "coloring": {"0": 0}},
+])
+def test_json_rejects_non_integer_values(doc):
+    with pytest.raises(ValueError, match="integer"):
+        graph_from_json(json.dumps(doc))
+
+
+def test_constructor_keeps_coercion():
+    # only the JSON loader is strict; the library constructor still int()s
+    assert ConvexGraph(5, [(0, 1.7)]).edges == {(0, 1)}
+    assert ConvexGraph(3, [], coloring="010").coloring == (0, 1, 0)
+
+
 def test_crossing_counts_random_against_oracle(rng):
     for trial in range(40):
         n = rng.randrange(4, 10)
