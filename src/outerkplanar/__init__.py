@@ -12,67 +12,19 @@ importing the package, or running a CLI subcommand other than
 ``circulant`` and ``xorsum``, loads neither that module nor numpy.
 """
 
-from .bounds import (
-    BIPARTITE_UPPER_VARIANTS,
-    CROSSING_LEMMA_FLAVORS,
-    DEFAULT_K_MIN,
-    GENERAL_UPPER_VARIANTS,
-    BoundEntry,
-    BoundReport,
-    LowerBoundValue,
-    MaxMinDegreeBounds,
-    bipartite_lower,
-    bipartite_upper,
-    bound_report,
-    crossing_lemma_lower,
-    epsilon_for,
-    general_lower,
-    general_lower_closed_form,
-    general_upper,
-    maxmindeg_bound,
-)
-from .constructions import (
-    OuterCopyGraph,
-    complete_graph,
-    concatenate,
-    cycle_graph,
-    kx_chain,
-    kxx_alternating,
-    kxx_chain,
-    outercopy,
-    outercopy_crossing_counts,
-)
-from .errors import BudgetExceededError, NotApplicableError
-from .geometry import (
-    ConvexGraph,
-    bipartition,
-    chord_length,
-    chords_cross,
-    crossing_counts,
-    degeneracy_order,
-    diagonals,
-    graph_from_json,
-    graph_to_json,
-    greedy_color,
-    hull_edges,
-    is_bipartite,
-    is_outer_k_planar,
-    max_crossing,
-    to_json_dict,
-)
-from .search import (
-    MAX_SEARCH_N,
-    SEARCH_MODES,
-    SearchResult,
-    canonical_form,
-    max_edges,
-    upper_prune,
-)
+from . import bounds, constructions, errors, geometry, search
+from .bounds import *  # noqa: F403
+from .constructions import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .geometry import *  # noqa: F403
+from .search import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# circulant.__all__, written out because reading it would import the module
 _CIRCULANT_EXPORTS = (
     "MAXCUT_WORK_BUDGET",
+    "MERCER_C0",
     "CirculantSpec",
     "Cut",
     "dirichlet_kernel",
@@ -91,62 +43,12 @@ _CIRCULANT_EXPORTS = (
 
 __all__ = [
     "__version__",
-    # geometry
-    "ConvexGraph",
-    "chord_length",
-    "chords_cross",
-    "crossing_counts",
-    "max_crossing",
-    "is_outer_k_planar",
-    "hull_edges",
-    "diagonals",
-    "degeneracy_order",
-    "greedy_color",
-    "bipartition",
-    "is_bipartite",
-    "to_json_dict",
-    "graph_to_json",
-    "graph_from_json",
-    # constructions
-    "complete_graph",
-    "cycle_graph",
-    "concatenate",
-    "kx_chain",
-    "kxx_alternating",
-    "kxx_chain",
-    "OuterCopyGraph",
-    "outercopy",
-    "outercopy_crossing_counts",
-    # bounds
-    "GENERAL_UPPER_VARIANTS",
-    "BIPARTITE_UPPER_VARIANTS",
-    "CROSSING_LEMMA_FLAVORS",
-    "DEFAULT_K_MIN",
-    "BoundEntry",
-    "BoundReport",
-    "LowerBoundValue",
-    "MaxMinDegreeBounds",
-    "epsilon_for",
-    "general_upper",
-    "general_lower",
-    "general_lower_closed_form",
-    "bipartite_upper",
-    "bipartite_lower",
-    "crossing_lemma_lower",
-    "maxmindeg_bound",
-    "bound_report",
-    # circulant
+    *geometry.__all__,
+    *constructions.__all__,
+    *bounds.__all__,
     *_CIRCULANT_EXPORTS,
-    # search
-    "MAX_SEARCH_N",
-    "SEARCH_MODES",
-    "SearchResult",
-    "max_edges",
-    "upper_prune",
-    "canonical_form",
-    # errors
-    "NotApplicableError",
-    "BudgetExceededError",
+    *search.__all__,
+    *errors.__all__,
 ]
 
 

@@ -54,6 +54,7 @@ __all__ = [
     "greedy_color",
     "bipartition",
     "is_bipartite",
+    "to_json_dict",
     "graph_to_json",
     "graph_from_json",
 ]

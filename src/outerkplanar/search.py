@@ -13,13 +13,18 @@ The solver enumerates candidate chords in a fixed order (increasing chord
 length, then lexicographic) and branches include/exclude on the first
 still-addable candidate.  Feasibility is monotone (an edge that cannot be
 added now can never be added later), so each node filters its parent's
-candidate list.  Pruning uses ``upper_prune``, an admissible optimistic
-bound.  One dominance rule skips branches: once the include branch of a
-chord that crosses no candidate has been searched, its exclude branch is
-not, because adding that chord to any graph of the exclude branch keeps
-it feasible and gains an edge.  Hull edges cross nothing, so in general
-mode every searched graph contains the first candidate, the hull edge
-(0, 1), which also leaves no rotation of the first edge to try.
+candidate list.  Each node gets its state as arguments: the addable
+candidates with their costs (crossings with included edges) and a count
+per cost, bitsets of the included and of the saturated edges (those
+crossed k times), the crossing headroom left on included edges, and the
+number of edges included.  Pruning uses ``_node_bound``, an admissible
+optimistic bound over that state, which ``upper_prune`` exposes for a
+given partial graph.  One dominance rule skips branches: once the include
+branch of a chord that crosses no candidate has been searched, its exclude
+branch is not, because adding that chord to any graph of the exclude
+branch keeps it feasible and gains an edge.  Hull edges cross nothing, so
+in general mode every searched graph contains the first candidate, the
+hull edge (0, 1), which also leaves no rotation of the first edge to try.
 
 Everything is deterministic: the incumbent only updates on strict
 improvement, so repeated runs return byte-identical results, including
@@ -39,8 +44,6 @@ from .geometry import (
     _normalize_edge,
     bipartition,
     chord_length,
-    chords_cross,
-    crossing_counts,
     is_outer_k_planar,
 )
 
@@ -135,39 +138,67 @@ def _cross_table(n: int, cands) -> list[int]:
     return cross
 
 
+def _node_bound(m_inc: int, n_feas: int, per_cost, cap: int, static_ub: int) -> int:
+    """The search's pruning bound at one node; no completion can beat it.
+
+    The node has ``m_inc`` edges included, ``n_feas`` candidates still
+    individually addable of which ``per_cost[c]`` cross exactly c included
+    edges, and ``cap`` crossing headroom (the sum of k minus the crossing
+    count over the included edges).  The bound is the least of
+    ``m_inc + n_feas``, the closed-form ``static_ub``, and, when the
+    cheapest addable candidate crosses c_min > 0 included edges,
+    ``m_inc + cap // c_min``: every edge a completion adds takes at least
+    c_min of the ``cap`` crossings the included edges have left.
+    """
+    ub = m_inc + n_feas
+    if static_ub < ub:
+        ub = static_ub
+    if n_feas and not per_cost[0]:
+        c_min = 1
+        while not per_cost[c_min]:
+            c_min += 1
+        if m_inc + cap // c_min < ub:
+            ub = m_inc + cap // c_min
+    return ub
+
+
 def upper_prune(n: int, k: int, state, remaining, *, bipartite: bool = False) -> int:
-    """Admissible optimistic bound on the best completion of a partial graph.
+    """The search's pruning bound at the node that has chosen ``state``.
 
     ``state`` holds the edges already chosen (must itself be outer
-    k-planar) and ``remaining`` the undecided candidates.  The bound is
-    the minimum of three quantities: state plus the count of candidates
-    that are still individually addable, the floored closed-form bound
-    for (n, k), and a crossing-budget bound |state| + floor(capacity /
-    c_min), where capacity is the total crossing headroom of the state
-    edges and c_min > 0 the fewest crossings any addable candidate must
-    pay against the state.  None of the three can undercut the true
-    optimum of the subtree.
+    k-planar) and ``remaining`` the undecided candidates.  The node state
+    is built the way the search keeps it, on the general candidate list
+    and its crossing bitsets, and ``_node_bound`` is evaluated on it; see
+    there for the three quantities.  ``bipartite`` selects the closed-form
+    bounds of a bipartite search.  The bound never undercuts the best
+    completion of ``state`` by edges of ``remaining``.
     """
-    state_edges = sorted({_normalize_edge(n, e) for e in state})
-    counts = crossing_counts(ConvexGraph(max(n, 2), state_edges))
-    if any(c > k for c in counts.values()):
-        raise ValueError("state is not outer k-planar")
-    state_set = set(state_edges)
-    feas_costs = []
+    cands = _candidate_list(n, None)
+    cross = _cross_table(n, cands)
+    index = {e: i for i, e in enumerate(cands)}
+    state_bits = [index[e] for e in {_normalize_edge(n, e) for e in state}]
+    included = sum(1 << i for i in state_bits)
+    sat = 0
+    cap = 0
+    for i in state_bits:
+        count = (cross[i] & included).bit_count()
+        if count > k:
+            raise ValueError("state is not outer k-planar")
+        if count == k:
+            sat |= 1 << i
+        cap += k - count
+    per_cost = [0] * (k + 1)
+    n_feas = 0
     for f in {_normalize_edge(n, e) for e in remaining}:
-        if f in state_set:
+        i = index[f]
+        if included >> i & 1 or cross[i] & sat:
             continue
-        crossed = [e for e in state_edges if chords_cross(n, f, e)]
-        cost = len(crossed)
-        if cost <= k and all(counts[e] < k for e in crossed):
-            feas_costs.append(cost)
-    bound = min(len(state_edges) + len(feas_costs), _static_upper(n, k, bipartite))
-    if feas_costs:
-        c_min = min(feas_costs)
-        if c_min > 0:
-            capacity = sum(k - c for c in counts.values())
-            bound = min(bound, len(state_edges) + capacity // c_min)
-    return bound
+        cost = (cross[i] & included).bit_count()
+        if cost <= k:
+            per_cost[cost] += 1
+            n_feas += 1
+    return _node_bound(len(state_bits), n_feas, per_cost, cap,
+                       _static_upper(n, k, bipartite))
 
 
 class _Incumbent:
@@ -187,16 +218,12 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int) -> None:
     m_cand = len(cands)
     cross = _cross_table(n, cands)
 
-    counts = [0] * m_cand
-    included = 0
-    sat = 0  # included edges whose crossing count has reached k
-    cap = 0  # total crossing headroom sum(k - counts[e]) over included edges
-    m_inc = 0
     n_costs = min(k, m_cand) + 1  # a candidate's cost never exceeds k or m_inc
 
-    def dfs(feas, per_cost):
-        # per_cost[c] is the number of candidates in feas with cost c
-        nonlocal included, sat, cap, m_inc
+    def dfs(feas, per_cost, included, sat, cap, m_inc):
+        # feas holds the addable (candidate, cost) pairs and per_cost[c]
+        # counts those of cost c.  A call owns the per_cost it is given:
+        # its caller never reads it again.
         inc.nodes += 1
         if m_inc > inc.best:
             inc.best = m_inc
@@ -206,58 +233,30 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int) -> None:
             raise BudgetExceededError("search node budget exceeded")
         if not feas:
             return
-        ub = m_inc + len(feas)
-        if static_ub < ub:
-            ub = static_ub
-        if included and not per_cost[0]:
-            c_min = 1
-            while not per_cost[c_min]:
-                c_min += 1
-            cap_bound = m_inc + cap // c_min
-            if cap_bound < ub:
-                ub = cap_bound
-        if ub <= inc.best:
+        if _node_bound(m_inc, len(feas), per_cost, cap, static_ub) <= inc.best:
             return
         (i0, c0) = feas[0]
         rest = feas[1:]
         # include branch
-        touched = cross[i0] & included
-        included |= 1 << i0
-        m_inc += 1
-        cap += k - 2 * c0
-        counts[i0] = c0
-        newly_sat = (1 << i0) if c0 == k else 0
-        t = touched
+        bit0 = 1 << i0
+        new_included = included | bit0
+        new_sat = sat | bit0 if c0 == k else sat
+        t = cross[i0] & included
         while t:
             low = t & -t
-            j = low.bit_length() - 1
-            counts[j] += 1
-            if counts[j] == k:
-                newly_sat |= low
+            if (cross[low.bit_length() - 1] & new_included).bit_count() == k:
+                new_sat |= low
             t ^= low
-        sat |= newly_sat
-        bit0 = 1 << i0
         new_feas = []
         new_per_cost = [0] * n_costs
         for (i, c) in rest:
             ci = cross[i]
             c2 = c + 1 if ci & bit0 else c
-            if c2 > k or ci & sat:
+            if c2 > k or ci & new_sat:
                 continue
             new_feas.append((i, c2))
             new_per_cost[c2] += 1
-        dfs(new_feas, new_per_cost)
-        # undo
-        sat &= ~newly_sat
-        t = touched
-        while t:
-            low = t & -t
-            counts[low.bit_length() - 1] -= 1
-            t ^= low
-        counts[i0] = 0
-        cap -= k - 2 * c0
-        m_inc -= 1
-        included &= ~(1 << i0)
+        dfs(new_feas, new_per_cost, new_included, new_sat, cap + k - 2 * c0, m_inc + 1)
         if not cross[i0]:
             # Dominance: i0 crosses no candidate, so adding it to any
             # completion of the exclude branch stays feasible and gains
@@ -266,12 +265,11 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int) -> None:
             return
         # exclude branch
         per_cost[c0] -= 1
-        dfs(rest, per_cost)
-        per_cost[c0] += 1
+        dfs(rest, per_cost, included, sat, cap, m_inc)
 
     per_cost = [0] * n_costs
     per_cost[0] = m_cand
-    dfs([(i, 0) for i in range(m_cand)], per_cost)
+    dfs([(i, 0) for i in range(m_cand)], per_cost, 0, 0, 0, 0)
 
 
 def _canonical_colorings(n: int) -> list[tuple[int, ...]]:
@@ -354,8 +352,7 @@ def max_edges(n: int, k: int, mode: str = "general", *,
         raise ValueError(f"search supports 2 <= n <= {MAX_SEARCH_N} (got n={n})")
     if k < 0:
         raise ValueError("k must be non-negative")
-    if mode not in SEARCH_MODES:
-        raise ValueError(f"unknown mode {mode!r}; choose one of {SEARCH_MODES}")
+    colorings = _mode_colorings(n, mode)
     if mode == "bipartite_alternating" and n % 2:
         raise ValueError("alternating mode needs even n")
     settings = {"n": n, "k": k, "mode": mode}
@@ -368,7 +365,7 @@ def max_edges(n: int, k: int, mode: str = "general", *,
         inc.best_edges = warm.sorted_edges()
         inc.best_coloring = warm.coloring
     try:
-        for coloring in _mode_colorings(n, mode):
+        for coloring in colorings:
             _solve(inc, n, k, coloring, static_ub)
     except BudgetExceededError as exc:
         witness = ConvexGraph(n, inc.best_edges, inc.best_coloring)

@@ -516,6 +516,15 @@ def test_lazy_circulant_names():
         outerkplanar.no_such_name  # noqa: B018
 
 
+def test_package_exports_what_its_modules_export():
+    from outerkplanar import bounds, circulant, constructions, errors, geometry, search
+
+    modules = (geometry, constructions, bounds, circulant, search, errors)
+    assert set(outerkplanar.__all__) == {"__version__"}.union(
+        *(module.__all__ for module in modules))
+    assert len(outerkplanar.__all__) == len(set(outerkplanar.__all__))
+
+
 def test_python_dash_m():
     proc = subprocess.run([sys.executable, "-m", "outerkplanar", *BOUNDS_ARGV],
                           capture_output=True, text=True, env=package_env())

@@ -188,26 +188,41 @@ def test_upper_prune_examples():
     assert upper_prune(6, 0, [], hull6 + chords6) == 9
     k5 = complete_graph(5)
     assert upper_prune(5, 2, list(k5.edges), []) == 10
+    # every candidate crosses one state edge; the state has 2 crossings left
+    assert upper_prune(6, 2, [(0, 3), (1, 4)], [(1, 5), (2, 4), (0, 2), (3, 5)]) == 4
+    # (2, 4) would cross (0, 3), which is already crossed k = 1 times
+    assert upper_prune(6, 1, [(0, 3), (1, 4), (4, 5)], [(2, 4)]) == 3
     with pytest.raises(ValueError, match="not outer"):
         upper_prune(5, 1, list(k5.edges), [])
 
 
 def test_upper_prune_is_admissible(rng):
-    for _ in range(200):
-        n = rng.randint(4, 7)
-        k = rng.randint(0, 2)
-        all_edges = [(a, b) for a in range(n) for b in range(a + 1, n)]
-        rng.shuffle(all_edges)
-        state = []
-        for e in all_edges:
-            if rng.random() < 0.3:
-                trial = ConvexGraph(n, state + [e])
-                if max(crossing_counts(trial).values(), default=0) <= k:
-                    state.append(e)
-        remaining = [e for e in all_edges if e not in state]
-        bound = upper_prune(n, k, state, remaining)
-        true_best = brute_best_completion(n, k, state, remaining)
-        assert bound >= true_best, (n, k, state)
+    # Groups of (cases, largest n, largest k, bipartite, largest min_cost).
+    # The first 200 cases leave every other edge undecided.  The later ones
+    # leave only edges that cross at least min_cost state edges, as deep
+    # search nodes do, so that with k up to 4 the capacity bound is reached
+    # with c_min > 1.  Bipartite cases draw all edges from the bichromatic
+    # edges of the alternating coloring.
+    for cases, n_max, k_max, bipartite, max_min_cost in [
+            (200, 7, 2, False, 0), (150, 8, 4, False, 2), (150, 8, 4, True, 2)]:
+        for _ in range(cases):
+            n = rng.randint(4, n_max)
+            k = rng.randint(0, k_max)
+            all_edges = [(a, b) for a in range(n) for b in range(a + 1, n)
+                         if not bipartite or (a + b) % 2]
+            rng.shuffle(all_edges)
+            state = []
+            for e in all_edges:
+                if rng.random() < 0.3:
+                    trial = ConvexGraph(n, state + [e])
+                    if max(crossing_counts(trial).values(), default=0) <= k:
+                        state.append(e)
+            min_cost = rng.randint(0, max_min_cost) if max_min_cost else 0
+            remaining = [e for e in all_edges if e not in state
+                         and sum(chords_cross(n, e, f) for f in state) >= min_cost]
+            bound = upper_prune(n, k, state, remaining, bipartite=bipartite)
+            true_best = brute_best_completion(n, k, state, remaining)
+            assert bound >= true_best, (n, k, bipartite, state, remaining)
 
 
 def test_canonical_form_examples():
@@ -268,16 +283,23 @@ DIGEST_CELLS = [
 # 4-subset crossing table and integer colorings came in (with the k = 3
 # small-k row already conditional).
 SEARCH_DIGEST = "472df695ed2e555956851c6032b962c8ce7e3a53861f03de5131733d2e086924"
+# sha256 over the same cells of (mode, n, k, nodes_explored), frozen before
+# the pruning bound was folded into one function: a change that keeps the
+# traversal node for node keeps this digest.
+SEARCH_NODES_DIGEST = "ef3fd80240235912ee63e154ff76aa3f6f9cb7893c257e519591be1bf605dce9"
 
 
 def test_search_results_frozen():
     h = hashlib.sha256()
+    h_nodes = hashlib.sha256()
     for mode, n, k in DIGEST_CELLS:
         res = max_edges(n, k, mode)
         assert res.proven_optimal
         row = [mode, n, k, res.max_edges, res.witness.sorted_edges(), res.witness.coloring]
         h.update(json.dumps(row).encode())
+        h_nodes.update(json.dumps([mode, n, k, res.nodes_explored]).encode())
     assert h.hexdigest() == SEARCH_DIGEST
+    assert h_nodes.hexdigest() == SEARCH_NODES_DIGEST
 
 
 def test_nodes_explored_frozen():
