@@ -7,60 +7,42 @@ extremal generators (constructions), closed-form upper and lower bounds
 (bounds), exact branch-and-bound search for small n (search), max-cut
 machinery for circulant graphs C_n^{1..r} (circulant), and a CLI (cli).
 
-The circulant names are resolved on first access (PEP 562), so that
-importing the package, or running a CLI subcommand other than
-``circulant`` and ``xorsum``, loads neither that module nor numpy.
+Importing the package loads none of its modules.  Every name resolves on
+first access (PEP 562): a submodule name imports that submodule, and a
+public name such as ``max_edges`` imports the submodules in turn until
+one lists it in its ``__all__``.  So each CLI subcommand loads only the
+modules it calls, and only ``circulant``'s array functions load numpy.
 """
-
-from . import bounds, constructions, errors, geometry, search
-from .bounds import *  # noqa: F403
-from .constructions import *  # noqa: F403
-from .errors import *  # noqa: F403
-from .geometry import *  # noqa: F403
-from .search import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-# circulant.__all__, written out because reading it would import the module
-_CIRCULANT_EXPORTS = (
-    "MAXCUT_WORK_BUDGET",
-    "MERCER_C0",
-    "CirculantSpec",
-    "Cut",
-    "dirichlet_kernel",
-    "dirichlet_kernel_closed",
-    "adjacency_eigenvalue",
-    "adjacency_eigenvalues",
-    "laplacian_lambda_max",
-    "mohar_bound",
-    "mercer_inner",
-    "mercer_min_bound",
-    "lemma_maxcut_bound",
-    "cut_value",
-    "exact_maxcut",
-    "xor_sum",
-)
+# the modules whose __all__ make up the package's, in that order
+_EXPORTING = ("geometry", "constructions", "bounds", "circulant", "search", "errors")
 
-__all__ = [
-    "__version__",
-    *geometry.__all__,
-    *constructions.__all__,
-    *bounds.__all__,
-    *_CIRCULANT_EXPORTS,
-    *search.__all__,
-    *errors.__all__,
-]
+
+def _submodule(name):
+    # not `from . import name`: that asks __getattr__ below for the name again
+    from importlib import import_module
+
+    return import_module(f"{__name__}.{name}")
 
 
 def __getattr__(name):
-    if name == "circulant" or name in _CIRCULANT_EXPORTS:
-        # not `from . import circulant`: that asks this hook for the name again
-        from importlib import import_module
-
-        module = import_module(f"{__name__}.circulant")
-        return module if name == "circulant" else getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name in _EXPORTING or name == "cli":
+        return _submodule(name)
+    if name == "__all__":
+        value = ["__version__",
+                 *(public for mod in _EXPORTING for public in _submodule(mod).__all__)]
+    else:
+        owner = not name.startswith("_") and next(
+            (module for module in map(_submodule, _EXPORTING) if name in module.__all__),
+            None)
+        if not owner:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(owner, name)
+    globals()[name] = value
+    return value
 
 
 def __dir__():
-    return sorted({*globals(), *_CIRCULANT_EXPORTS})
+    return sorted({*globals(), *_EXPORTING, *__getattr__("__all__")})

@@ -30,11 +30,11 @@ smallest side vector.
 s_{i+j} over a bit-string; in cyclic mode with 2r < n it equals exactly
 twice the cut value of the corresponding side assignment of C_n^{1..r}.
 
-Only the spectral functions (``dirichlet_kernel``, ``dirichlet_kernel_closed``,
-``adjacency_eigenvalue(s)``, ``laplacian_lambda_max``, ``mohar_bound``) load
-numpy, on their first call; everything else here is pure Python, so
-``circulant --method exact|lemma|lemma-refined`` and ``xorsum`` never import
-it.
+Only the array functions (``dirichlet_kernel``, ``dirichlet_kernel_closed``,
+``adjacency_eigenvalue(s)``) load numpy, on their first call.  Everything
+else here is pure Python: ``laplacian_lambda_max``, and so ``mohar_bound``,
+takes the largest Laplacian eigenvalue from the closed form over
+j = 1..n//2, so no CLI subcommand imports numpy.
 """
 
 from __future__ import annotations
@@ -153,8 +153,17 @@ def adjacency_eigenvalues(spec: CirculantSpec) -> np.ndarray:
 
 
 def laplacian_lambda_max(spec: CirculantSpec) -> float:
-    """Largest Laplacian eigenvalue max_j (2r - lambda_j); lies in [0, 4r]."""
-    return float((2.0 * spec.r - adjacency_eigenvalues(spec)).max())
+    """Largest Laplacian eigenvalue max_j (2r - lambda_j); lies in [0, 4r].
+
+    2r - lambda_j = 2r + 1 - D_r(theta_j) is 0 at j = 0, below every other
+    term, and D_r is even, so j and n - j give the same value; the closed
+    form is evaluated for j = 1..n//2 only, where theta_j/2 = pi*j/n lies
+    in (0, pi/2] and sin(theta_j/2) stays well away from 0.  O(n) time,
+    no numpy.
+    """
+    n, r = spec.n, spec.r
+    return max(2.0 * r + 1.0 - math.sin((r + 0.5) * theta) / math.sin(theta / 2.0)
+               for theta in (2.0 * math.pi * j / n for j in range(1, n // 2 + 1)))
 
 
 def mohar_bound(spec: CirculantSpec) -> float:

@@ -24,38 +24,14 @@ byte-identical bytes on every run.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
 import os
 import sys
+from importlib import import_module
 
-from .bounds import (
-    BIPARTITE_UPPER_VARIANTS,
-    DEFAULT_K_MIN,
-    GENERAL_UPPER_VARIANTS,
-    bipartite_upper,
-    bound_report,
-    general_upper,
-)
-from .constructions import (
-    complete_graph,
-    cycle_graph,
-    kx_chain,
-    kxx_alternating,
-    kxx_chain,
-)
 from .errors import BudgetExceededError, NotApplicableError
-from .geometry import (
-    crossing_counts,
-    degeneracy_order,
-    graph_from_json,
-    greedy_color,
-    is_bipartite,
-    to_json_dict,
-)
-from .search import MAX_SEARCH_N, max_edges
 
 __all__ = ["main", "run", "build_parser", "CliError", "ENV_NODE_BUDGET"]
 
@@ -68,6 +44,38 @@ _EXIT_CODES = {
     "budget-exceeded": 5,
     "invalid-input": 6,
 }
+
+
+# The package names the handlers call, by defining module.  A handler loads
+# its modules with _load on first use, which binds these names into this
+# module's globals; a name already set here, such as a wrapper a test or
+# the benchmark put on cli.crossing_counts, is kept, and is what the
+# handler calls.  Before any command has run, the module __getattr__ below
+# loads a name on request, so it can be read and replaced from outside.
+_LAZY_NAMES = {
+    "bounds": ("BIPARTITE_UPPER_VARIANTS", "DEFAULT_K_MIN", "GENERAL_UPPER_VARIANTS",
+               "bipartite_upper", "bound_report", "general_upper"),
+    "constructions": ("complete_graph", "cycle_graph", "kx_chain", "kxx_alternating",
+                      "kxx_chain"),
+    "geometry": ("crossing_counts", "degeneracy_order", "graph_from_json",
+                 "greedy_color", "is_bipartite", "to_json_dict"),
+    "search": ("max_edges",),
+}
+
+
+def _load(*modules: str) -> None:
+    for module in modules:
+        loaded = import_module(f"{__package__}.{module}")
+        for name in _LAZY_NAMES[module]:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name):
+    for module, names in _LAZY_NAMES.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CliError(Exception):
@@ -153,6 +161,8 @@ def _report_payload(report, precision: int) -> dict:
 
 
 def _report_csv(report, precision: int) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["name", "kind", "value", "valid", "source"])
@@ -162,7 +172,12 @@ def _report_csv(report, precision: int) -> str:
     return buf.getvalue()
 
 
+def _k_min(args) -> int:
+    return DEFAULT_K_MIN if args.k_threshold is None else args.k_threshold
+
+
 def _cmd_bounds(args) -> str:
+    _load("bounds")
     _check_precision(args)
     if args.n < 2:
         raise CliError("invalid-flags", "--n must be at least 2")
@@ -178,12 +193,12 @@ def _cmd_bounds(args) -> str:
             )
         upper = bipartite_upper if args.bipartite else general_upper
         try:
-            value = upper(args.n, args.k, args.variant, k_min=args.k_threshold)
+            value = upper(args.n, args.k, args.variant, k_min=_k_min(args))
         except NotApplicableError as exc:
             raise CliError("not-applicable", str(exc)) from exc
         return _fmt(value, args.precision) + "\n"
     report = bound_report(args.n, args.k, bipartite=args.bipartite,
-                          k_min=args.k_threshold)
+                          k_min=_k_min(args))
     if args.format == "csv":
         return _report_csv(report, args.precision)
     return _dump(_report_payload(report, args.precision))
@@ -201,6 +216,7 @@ _CONSTRUCT_FLAGS = {
 
 
 def _cmd_construct(args) -> str:
+    _load("constructions", "geometry")
     wanted = _CONSTRUCT_FLAGS[args.kind]
     for flag in ("x", "n", "blocks"):
         have = getattr(args, flag) is not None
@@ -234,6 +250,7 @@ _EDGE_ROW = ('    {\n      "edge": [\n        %d,\n        %d\n      ],\n'
 
 
 def _cmd_verify(args) -> str:
+    _load("geometry")
     g = _load_graph(args.file)
     if args.k is not None and args.k < 0:
         raise CliError("invalid-flags", "--k must be non-negative")
@@ -291,6 +308,7 @@ def _node_budget(args) -> int | None:
 
 
 def _cmd_search(args) -> str:
+    _load("search", "geometry")
     mode = "general" if args.bipartite is None else f"bipartite_{args.bipartite}"
     warm = _load_graph(args.warm_start) if args.warm_start else None
     budget = _node_budget(args)
@@ -311,7 +329,6 @@ def _cmd_search(args) -> str:
 
 
 def _cmd_circulant(args) -> str:
-    # only this subcommand and xorsum import circulant; the others start faster
     from . import circulant as circ
 
     _check_precision(args)
@@ -358,6 +375,7 @@ def _cmd_xorsum(args) -> str:
 
 
 def _cmd_sweep(args) -> str:
+    _load("bounds")
     _check_precision(args)
     if args.n_from < 2:
         raise CliError("invalid-flags", "--n-from must be at least 2")
@@ -368,10 +386,10 @@ def _cmd_sweep(args) -> str:
     if args.k_from < 0:
         raise CliError("invalid-flags", "--k-from must be non-negative")
     rows = []
+    k_min = _k_min(args)
     for n in range(args.n_from, args.n_to + 1, args.n_step):
         for k in range(args.k_from, args.k_to + 1, args.k_step):
-            report = bound_report(n, k, bipartite=args.bipartite,
-                                  k_min=args.k_threshold)
+            report = bound_report(n, k, bipartite=args.bipartite, k_min=k_min)
             for e in report.entries:
                 rows.append((n, k, e.name, e.value, e.valid))
     if args.format == "json":
@@ -386,6 +404,8 @@ def _cmd_sweep(args) -> str:
             for n, k, name, value, valid in rows
         ]
         return _dump(payload)
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["n", "k", "bound_name", "value", "valid"])
@@ -413,9 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print a single upper-bound value instead of the report")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--precision", type=int, default=6, metavar="DIGITS")
-    p.add_argument("--k-threshold", type=int, default=DEFAULT_K_MIN, metavar="K",
+    p.add_argument("--k-threshold", type=int, default=None, metavar="K",
                    help="smallest k at which the k-threshold-gated variants "
-                        f"are reported valid (default {DEFAULT_K_MIN})")
+                        "are reported valid (default bounds.DEFAULT_K_MIN)")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("construct", help="emit a generated graph as JSON")
@@ -431,8 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also report whether every edge is crossed at most k times")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("search", help="exact maximum edge count (n <= %d)"
-                                      % MAX_SEARCH_N)
+    p = sub.add_parser("search", help="exact maximum edge count "
+                                      "(n <= search.MAX_SEARCH_N)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--bipartite", choices=("free", "alternating", "consecutive"),
@@ -472,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bipartite", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.add_argument("--precision", type=int, default=6, metavar="DIGITS")
-    p.add_argument("--k-threshold", type=int, default=DEFAULT_K_MIN, metavar="K")
+    p.add_argument("--k-threshold", type=int, default=None, metavar="K")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -107,6 +107,16 @@ def test_laplacian_lambda_max():
             assert laplacian_lambda_max(spec) == pytest.approx(ref, abs=1e-9)
 
 
+def test_spectral_bound_matches_numpy_eigenvalues():
+    # laplacian_lambda_max is pure Python; the reference is the numpy spectrum
+    for n in range(3, 131):
+        for r in range(1, min(40, (n - 1) // 2) + 1):
+            spec = CirculantSpec(n, r)
+            ref = float((2.0 * r - adjacency_eigenvalues(spec)).max())
+            assert laplacian_lambda_max(spec) == pytest.approx(ref, rel=1e-12), (n, r)
+            assert mohar_bound(spec) == pytest.approx(n * ref / 4.0, rel=1e-12), (n, r)
+
+
 def test_mohar_values():
     assert mohar_bound(CirculantSpec(5, 1)) == pytest.approx(4.522542485937368, abs=1e-12)
     # the even cycle and C_12^{1,2} are tight cases

@@ -449,24 +449,37 @@ def test_console_script():
     assert proc.stdout == "246\n", proc.stderr
 
 
+def test_circulant_mohar_matches_the_numpy_spectrum():
+    from outerkplanar.circulant import CirculantSpec, adjacency_eigenvalues
+
+    for n in range(3, 201):
+        for r in range(1, min(20, (n - 1) // 2) + 1):
+            ref = float((2.0 * r - adjacency_eigenvalues(CirculantSpec(n, r))).max())
+            value = float(format(n * ref / 4.0, ".6g"))
+            expected = json.dumps({"n": n, "r": r, "method": "mohar", "value": value},
+                                  indent=2) + "\n"
+            assert invoke("circulant", "--n", str(n), "--r", str(r),
+                          "--method", "mohar") == (0, expected), (n, r)
+
+
 # Runs in a fresh interpreter: after each step it records which of numpy and
-# the circulant module are loaded.
+# the package's modules that a subcommand may load are loaded.
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 
 def loaded():
-    return [m for m in ("numpy", "outerkplanar.circulant") if m in sys.modules]
+    return [m for m in ("bounds", "constructions", "geometry", "search", "circulant")
+            if "outerkplanar." + m in sys.modules] + ["numpy"] * ("numpy" in sys.modules)
 
 steps = {"start": loaded()}
 import outerkplanar
 steps["import outerkplanar"] = loaded()
 import outerkplanar.cli
 steps["import outerkplanar.cli"] = loaded()
-for argv in json.loads(sys.argv[1]):
-    sys.argv[1:] = argv
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = outerkplanar.cli.main()
-    steps[" ".join(argv)] = [code] + loaded()
+sys.argv[1:] = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = outerkplanar.cli.main()
+steps["run"] = [code] + loaded()
 print(json.dumps(steps))
 """
 
@@ -474,45 +487,107 @@ print(json.dumps(steps))
 def test_numpy_stays_off_the_import_path(tmp_path):
     graph = tmp_path / "k5.json"
     graph.write_text(invoke("construct", "complete", "--x", "5")[1])
-    calls = [
-        ["bounds", "--n", "10", "--k", "2"],
-        ["sweep", "--n-from", "6", "--n-to", "8", "--k-from", "0", "--k-to", "2"],
-        ["construct", "kx-chain", "--x", "6", "--blocks", "2"],
-        ["verify", str(graph), "--k", "2"],
-        ["search", "--n", "6", "--k", "1"],
-        ["xorsum", "--bits", "0110101", "--r", "2"],
-        ["circulant", "--n", "12", "--r", "2", "--method", "exact"],
-        ["circulant", "--n", "12", "--r", "2", "--method", "lemma-refined"],
-        ["circulant", "--n", "12", "--r", "2", "--method", "mohar"],
+    expected = [
+        (["bounds", "--n", "10", "--k", "2"], ["bounds"]),
+        (["sweep", "--n-from", "6", "--n-to", "8", "--k-from", "0", "--k-to", "2"],
+         ["bounds"]),
+        (["construct", "kx-chain", "--x", "6", "--blocks", "2"],
+         ["constructions", "geometry"]),
+        (["verify", str(graph), "--k", "2"], ["geometry"]),
+        (["search", "--n", "6", "--k", "1"], ["bounds", "geometry", "search"]),
+        (["xorsum", "--bits", "0110101", "--r", "2"], ["circulant"]),
+        # the spectral bound is pure Python: no subcommand loads numpy
+        *((["circulant", "--n", "12", "--r", "2", "--method", method], ["circulant"])
+          for method in ("exact", "lemma-refined", "mohar")),
     ]
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(calls)],
-                          capture_output=True, text=True, env=package_env())
-    assert proc.returncode == 0, proc.stderr
-    neither, circ, both = [], ["outerkplanar.circulant"], ["numpy", "outerkplanar.circulant"]
-    assert json.loads(proc.stdout) == {
-        "start": neither,
-        "import outerkplanar": neither,
-        "import outerkplanar.cli": neither,
-        **{" ".join(argv): [0] + neither for argv in calls[:5]},
-        **{" ".join(argv): [0] + circ for argv in calls[5:8]},
-        # the spectral bound is what numpy is for
-        " ".join(calls[8]): [0] + both,
-    }
+    for argv, modules in expected:
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)],
+                              capture_output=True, text=True, env=package_env())
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "start": [], "import outerkplanar": [], "import outerkplanar.cli": [],
+            "run": [0, *modules]}, argv
 
 
-def test_lazy_circulant_names():
+# every name bench/run.py::install_patches wraps in the CLI's namespace, by
+# the module that defines it
+PATCHED_NAMES = {
+    "geometry": ("crossing_counts", "degeneracy_order", "greedy_color", "is_bipartite",
+                 "graph_from_json", "to_json_dict"),
+    "bounds": ("bound_report",),
+    "constructions": ("complete_graph", "cycle_graph", "kx_chain", "kxx_alternating",
+                      "kxx_chain"),
+}
+
+
+def test_patched_names_are_readable_before_any_command():
+    names = [name for group in PATCHED_NAMES.values() for name in group]
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import outerkplanar as o; print(o.circulant.__name__, "
-         "o.mohar_bound is o.circulant.mohar_bound)"],
+         "import sys, outerkplanar.cli as cli; "
+         "print(' '.join(getattr(cli, name).__module__ for name in sys.argv[1:]))",
+         *names],
         capture_output=True, text=True, env=package_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "outerkplanar.circulant True\n"
+    assert proc.stdout.split() == [f"outerkplanar.{module}"
+                                   for module, group in PATCHED_NAMES.items()
+                                   for _ in group]
+
+
+def test_handlers_call_the_names_patched_on_cli(tmp_path, monkeypatch):
+    import outerkplanar.cli as cli
+
+    called = []
+    for name in ("bound_report", "kx_chain", "crossing_counts"):
+        def recorder(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            called.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, recorder)
+    graph = tmp_path / "chain.json"
+    for argv, name in (
+            (["bounds", "--n", "10", "--k", "2"], "bound_report"),
+            (["sweep", "--n-from", "6", "--n-to", "6", "--k-from", "1", "--k-to", "1"],
+             "bound_report"),
+            (["construct", "kx-chain", "--x", "4", "--blocks", "2"], "kx_chain"),
+            (["verify", str(graph)], "crossing_counts")):
+        called.clear()
+        code, text = invoke(*argv)
+        assert code == 0 and called == [name], argv
+        graph.write_text(text)
+
+
+# Runs in a fresh interpreter: the package and its CLI load no module until a
+# name needs it, and a public name resolves to the object its module defines.
+SURFACE_PROBE = """
+import sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("outerkplanar."))
+
+import outerkplanar as o
+print(loaded())
+from outerkplanar import cli
+print(loaded())
+print(all(getattr(o, name) is getattr(getattr(o, module), name) for module, name in (
+    ("search", "max_edges"), ("geometry", "crossing_counts"),
+    ("constructions", "kx_chain"), ("bounds", "bound_report"),
+    ("circulant", "mohar_bound"), ("errors", "BudgetExceededError"))))
+"""
+
+
+def test_package_names_resolve_lazily():
+    proc = subprocess.run([sys.executable, "-c", SURFACE_PROBE],
+                          capture_output=True, text=True, env=package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]", "['outerkplanar.cli', 'outerkplanar.errors']", "True"]
     assert set(outerkplanar.__all__) <= set(dir(outerkplanar))
     namespace = {}
     exec("from outerkplanar import *", namespace)
     assert set(outerkplanar.__all__) <= set(namespace)
-    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+    with pytest.raises(AttributeError,
+                       match="^module 'outerkplanar' has no attribute 'no_such_name'$"):
         outerkplanar.no_such_name  # noqa: B018
 
 
