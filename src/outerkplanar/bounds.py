@@ -117,9 +117,8 @@ def general_lower(n: int, k: int) -> LowerBoundValue:
     n, k = _check_nk(n, k)
     if k < 1:
         raise NotApplicableError("general_lower requires k >= 1")
-    s = math.isqrt(k)
-    while s >= 1 and n < 2 * s + 2:
-        s -= 1
+    # the largest s with s*s <= k whose block K_{2s+2} fits in n points
+    s = min(math.isqrt(k), (n - 2) // 2)
     if s < 1:
         raise NotApplicableError(
             f"n={n} is too small for even a single block at any k' <= {k}"

@@ -318,12 +318,15 @@ def xor_sum(bits, r: int, mode: str = "cyclic") -> int:
     # s_i is bit n-1-i of x; each shift by d lines every s_i up with s_{i+d}
     n, x = len(bits), int(bits, 2)
     if mode == "cyclic":
+        # shifts repeat with period n and the shift by n adds nothing, so
+        # r = q*n + t counts shifts 1..n-1 q times and then shifts 1..t
         mask = (1 << n) - 1
-        total = 0
-        for d in range(1, r + 1):
-            d %= n
-            total += (x ^ ((x << d | x >> (n - d)) & mask)).bit_count()
-        return 2 * total
+        per_shift = [
+            (x ^ ((x << d | x >> (n - d)) & mask)).bit_count()
+            for d in range(1, min(r, n - 1) + 1)
+        ]
+        q, t = divmod(r, n)
+        return 2 * (q * sum(per_shift) + sum(per_shift[:t]))
     if mode == "bounded":
         total = 0
         for d in range(1, min(r, n - 1) + 1):

@@ -8,17 +8,24 @@ contiguous arc and the arcs meet only at the identified endpoints, no edge
 of one input can interleave with an edge of the other, so every surviving
 edge keeps exactly the crossing count it had in its source graph.
 
-The families built on top of it:
+The chains are written down directly in one layout.  A chain of `blocks`
+blocks of s + 2 vertices has n = blocks*s + 2 vertices, and block j is the
+arc j*s, ..., (j+1)*s together with vertex n-1.  So every block contains
+vertex n-1, and blocks j and j+1 share the edge ((j+1)*s, n-1), a hull
+edge of both.  This is the chain that repeated concatenation onto the hull
+edge (n-2, n-1) builds, so each edge is crossed exactly as often as in its
+block and the chain's crossing counts are those of a single block.  The
+families:
 
-* ``kx_chain(x, blocks)``: complete graphs K_x glued in a chain.  For even
-  x the middle diagonal of each block is the worst edge and is crossed
-  ((x-2)/2)^2 times, so the chain is outer ((x-2)/2)^2-planar.
+* ``kx_chain(x, blocks)``: complete graphs K_x in a chain (s = x - 2).
+  For even x the middle diagonal of each block is the worst edge and is
+  crossed ((x-2)/2)^2 times, so the chain is outer ((x-2)/2)^2-planar.
 * ``kxx_alternating(x)``: complete bipartite K_{x,x} with the two classes
   interleaved around the polygon (vertex parity = class).  Its maximum
   crossing count is 2*floor((x-1)/2)*ceil((x-1)/2).
-* ``kxx_chain(x, blocks)``: copies of the alternating K_{x,x} glued in a
-  chain along bichromatic hull edges, which keeps the union coloring
-  proper (and in fact alternating).
+* ``kxx_chain(x, blocks)``: alternating K_{x,x} blocks in a chain
+  (s = 2x - 2), colored by vertex parity; each shared hull edge is
+  bichromatic, so the coloring is proper (and in fact alternating).
 
 ``outercopy`` produces the two-page doubling used by the counting
 arguments: every edge stays inside the polygon and every diagonal gains a
@@ -132,21 +139,25 @@ def concatenate(g1: ConvexGraph, e1, g2: ConvexGraph, e2) -> ConvexGraph:
     return ConvexGraph(n, edges, coloring)
 
 
+def _chain_blocks(s: int, blocks: int) -> tuple[int, list[list[int]]]:
+    """Vertex count and block vertex lists of a chain of (s+2)-vertex blocks."""
+    n = blocks * s + 2
+    return n, [[*range(j * s, (j + 1) * s + 1), n - 1] for j in range(blocks)]
+
+
 def kx_chain(x: int, blocks: int) -> ConvexGraph:
     """Chain of `blocks` copies of K_x, consecutive copies sharing one hull edge.
 
     The result has blocks*(x-2) + 2 vertices and blocks*C(x,2) - (blocks-1)
-    edges.  Each new block is attached to the hull edge between the two
-    highest-labeled vertices of the graph built so far.
+    edges: every pair inside one block of the layout in the module
+    docstring, with s = x - 2.
     """
     if x < 3:
         raise ValueError("kx_chain needs x >= 3")
     if blocks < 1:
         raise ValueError("kx_chain needs at least one block")
-    g = complete_graph(x)
-    for _ in range(blocks - 1):
-        g = concatenate(g, (g.n - 2, g.n - 1), complete_graph(x), (0, 1))
-    return g
+    n, arcs = _chain_blocks(x - 2, blocks)
+    return ConvexGraph(n, (e for arc in arcs for e in combinations(arc, 2)))
 
 
 def kxx_alternating(x: int) -> ConvexGraph:
@@ -157,34 +168,25 @@ def kxx_alternating(x: int) -> ConvexGraph:
     """
     if x < 1:
         raise ValueError("kxx_alternating needs x >= 1")
-    n = 2 * x
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if (i + j) % 2 == 1
-    ]
-    return ConvexGraph(n, edges, coloring=[i % 2 for i in range(n)])
+    return kxx_chain(x, 1)
 
 
 def kxx_chain(x: int, blocks: int) -> ConvexGraph:
-    """Chain of `blocks` alternating K_{x,x} blocks glued on hull edges.
+    """Chain of `blocks` alternating K_{x,x}, consecutive copies sharing a hull edge.
 
-    Every hull edge of the alternating block is bichromatic, so the glued
-    coloring stays proper; the result has blocks*(2x-2) + 2 vertices and
-    blocks*x^2 - (blocks-1) edges, and the same maximum crossing count as
-    a single block.
+    Every odd-sum pair inside one block of the layout in the module
+    docstring, with s = 2x - 2, is an edge, and vertex i has class i mod 2,
+    so the coloring is proper (and alternating).  The result has
+    blocks*(2x-2) + 2 vertices and blocks*x^2 - (blocks-1) edges, and the
+    same maximum crossing count as a single block.
     """
     if x < 1:
         raise ValueError("kxx_chain needs x >= 1")
     if blocks < 1:
         raise ValueError("kxx_chain needs at least one block")
-    g = kxx_alternating(x)
-    for _ in range(blocks - 1):
-        g = concatenate(g, (g.n - 2, g.n - 1), kxx_alternating(x), (0, 1))
-    if g.coloring is None:
-        raise AssertionError("kxx_chain lost its coloring while gluing")
-    return g
+    n, arcs = _chain_blocks(2 * x - 2, blocks)
+    edges = ((u, v) for arc in arcs for u, v in combinations(arc, 2) if (u + v) % 2)
+    return ConvexGraph(n, edges, coloring=[i % 2 for i in range(n)])
 
 
 @dataclass(frozen=True)

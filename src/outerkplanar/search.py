@@ -364,27 +364,22 @@ def max_edges(n: int, k: int, mode: str = "general", *,
         inc.best = warm.m
         inc.best_edges = warm.sorted_edges()
         inc.best_coloring = warm.coloring
+    exceeded = None
     try:
         for coloring in colorings:
             _solve(inc, n, k, coloring, static_ub)
     except BudgetExceededError as exc:
-        witness = ConvexGraph(n, inc.best_edges, inc.best_coloring)
-        partial = SearchResult(
-            max_edges=inc.best,
-            witness=witness,
-            nodes_explored=inc.nodes,
-            proven_optimal=False,
-            settings=settings,
-        )
-        raise BudgetExceededError(
-            f"node budget {node_budget} exceeded (best incumbent {inc.best})",
-            result=partial,
-        ) from exc
-    witness = ConvexGraph(n, inc.best_edges, inc.best_coloring)
-    return SearchResult(
+        exceeded = exc
+    result = SearchResult(
         max_edges=inc.best,
-        witness=witness,
+        witness=ConvexGraph(n, inc.best_edges, inc.best_coloring),
         nodes_explored=inc.nodes,
-        proven_optimal=True,
+        proven_optimal=exceeded is None,
         settings=settings,
     )
+    if exceeded is not None:
+        raise BudgetExceededError(
+            f"node budget {node_budget} exceeded (best incumbent {inc.best})",
+            result=result,
+        ) from exceeded
+    return result

@@ -91,10 +91,45 @@ def test_general_lower_chain():
     # inadmissible k rounds down to the largest square
     lo = general_lower(10, 2)
     assert lo.k_used == 1 and lo.value == 21 and not lo.exact
+    # a huge k is capped by the block that fits, without stepping down to it
+    lo = general_lower(10, 10**18)
+    assert (lo.value, lo.n_used, lo.k_used) == (45, 10, 16)
     with pytest.raises(NotApplicableError):
         general_lower(3, 1)
     with pytest.raises(NotApplicableError):
         general_lower(100, 0)
+
+
+def _general_lower_by_stepping(n, k):
+    """general_lower's block half-size found by stepping down from isqrt(k)."""
+    if k < 1:
+        raise NotApplicableError("general_lower requires k >= 1")
+    s = math.isqrt(k)
+    while s >= 1 and n < 2 * s + 2:
+        s -= 1
+    if s < 1:
+        raise NotApplicableError(
+            f"n={n} is too small for even a single block at any k' <= {k}"
+        )
+    x = 2 * s + 2
+    blocks = (n - 2) // (x - 2)
+    n_used, k_used = blocks * (x - 2) + 2, s * s
+    value = blocks * (x * (x - 1) // 2) - (blocks - 1)
+    return (value, n_used, k_used, n_used == n and k_used == k, "chain")
+
+
+def test_general_lower_matches_stepping_down():
+    for n in range(1, 81):
+        for k in range(401):
+            try:
+                want = _general_lower_by_stepping(n, k)
+            except NotApplicableError as exc:
+                with pytest.raises(NotApplicableError) as got:
+                    general_lower(n, k)
+                assert str(got.value) == str(exc), (n, k)
+                continue
+            lo = general_lower(n, k)
+            assert (lo.value, lo.n_used, lo.k_used, lo.exact, lo.kind) == want, (n, k)
 
 
 def test_closed_form_is_reference_only():

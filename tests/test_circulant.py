@@ -221,6 +221,10 @@ def test_xor_sum_examples():
     assert xor_sum("0101", 1) == 8
     assert xor_sum("0011", 1, mode="bounded") == 2
     assert xor_sum([0, 1, 0, 1], 1) == 8
+    # whole periods of the n shifts add up without visiting each one
+    assert xor_sum("0101", 10**18) == 4 * 10**18
+    q, t = divmod(10**18, 7)
+    assert xor_sum("0110100", 10**18) == q * xor_sum("0110100", 7) + xor_sum("0110100", t)
     with pytest.raises(ValueError):
         xor_sum("0101", 0)
     with pytest.raises(ValueError):
@@ -262,13 +266,16 @@ def xor_sum_by_double_sum(s, r, cyclic):
 
 
 def test_xor_sum_matches_double_sum(rng):
-    # r runs past n - 1 in both modes: cyclic offsets then wrap more than once
+    # r runs past n - 1 in both modes: cyclic offsets then wrap more than once,
+    # and r = q*n + t sums q whole periods of the n shifts and then t shifts
     for _ in range(300):
         n = rng.randint(1, 30)
-        r = rng.randint(1, n + 3)
+        r = rng.randint(1, 3 * n + 3)
         s = [rng.randint(0, 1) for _ in range(n)]
         bits = "".join(map(str, s))
-        assert xor_sum(bits, r) == xor_sum_by_double_sum(s, r, True)
+        q, t = divmod(r, n)
+        periods = q * xor_sum(bits, n) + (xor_sum(bits, t) if t else 0)
+        assert xor_sum(bits, r) == periods == xor_sum_by_double_sum(s, r, True)
         assert xor_sum(bits, r, mode="bounded") == xor_sum_by_double_sum(s, r, False)
 
 

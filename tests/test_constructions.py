@@ -147,6 +147,25 @@ def test_kxx_chain_counts_and_coloring():
             assert max_crossing(g) == max_crossing(kxx_alternating(x))
 
 
+def _alternating_block(x):
+    n = 2 * x
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if (i + j) % 2]
+    return ConvexGraph(n, pairs, coloring=[i % 2 for i in range(n)])
+
+
+@pytest.mark.parametrize("chain, block, xs", [
+    (kx_chain, complete_graph, range(3, 13)),
+    (kxx_chain, _alternating_block, range(1, 8)),
+])
+def test_chain_equals_iterated_concatenation(chain, block, xs):
+    for x in xs:
+        g = block(x)
+        for blocks in range(1, 12):
+            got = chain(x, blocks)
+            assert (got.n, got.edges, got.coloring) == (g.n, g.edges, g.coloring), (x, blocks)
+            g = concatenate(g, (g.n - 2, g.n - 1), block(x), (0, 1))
+
+
 def test_kxx_chain_fixed_points():
     g = kxx_chain(3, 4)
     assert (g.n, g.m) == (18, 33)
