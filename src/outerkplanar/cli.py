@@ -522,3 +522,7 @@ def run(argv=None, out=None) -> int:
 
 def main() -> int:
     return run(sys.argv[1:])
+
+
+if __name__ == "__main__":
+    sys.exit(main())

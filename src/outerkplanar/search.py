@@ -28,11 +28,16 @@ hull edge (0, 1), which also leaves no rotation of the first edge to try.
 
 Everything is deterministic: the incumbent only updates on strict
 improvement, so repeated runs return byte-identical results, including
-the witness.
+the witness.  The incumbent is the bitset of included candidates, decoded
+to edges once, for the result.  What a search reads that does not depend
+on k (each coloring's candidate order and crossing bitsets, the
+bipartite_free colorings) and the closed-form bound are memoized, so a
+loop over k at one n builds them once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -90,6 +95,7 @@ def canonical_form(g: ConvexGraph) -> tuple[tuple[int, int], ...]:
     return tuple(best) if best is not None else ()
 
 
+@functools.cache
 def _static_upper(n: int, k: int, bipartite: bool) -> int:
     """Floor of the smallest unconditionally valid closed-form upper bound.
 
@@ -138,6 +144,19 @@ def _cross_table(n: int, cands) -> list[int]:
     return cross
 
 
+@functools.cache
+def _tables(n: int, coloring) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The candidate chords of one coloring (None = all) and their crossing
+    bitsets, built once per (n, coloring) and shared by every search on it.
+
+    Both are tuples, so no caller can change what the next one reads.  The
+    cache keeps one entry per (n, coloring) searched, all at n <= 12, and
+    one per n that ``upper_prune`` was asked about.
+    """
+    cands = _candidate_list(n, coloring)
+    return tuple(cands), tuple(_cross_table(n, cands))
+
+
 def _node_bound(m_inc: int, n_feas: int, per_cost, cap: int, static_ub: int) -> int:
     """The search's pruning bound at one node; no completion can beat it.
 
@@ -173,8 +192,7 @@ def upper_prune(n: int, k: int, state, remaining, *, bipartite: bool = False) ->
     bounds of a bipartite search.  The bound never undercuts the best
     completion of ``state`` by edges of ``remaining``.
     """
-    cands = _candidate_list(n, None)
-    cross = _cross_table(n, cands)
+    cands, cross = _tables(n, None)
     index = {e: i for i, e in enumerate(cands)}
     state_bits = [index[e] for e in {_normalize_edge(n, e) for e in state}]
     included = sum(1 << i for i in state_bits)
@@ -202,21 +220,32 @@ def upper_prune(n: int, k: int, state, remaining, *, bipartite: bool = False) ->
 
 
 class _Incumbent:
-    __slots__ = ("nodes", "budget", "best", "best_edges", "best_coloring")
+    """Node count and the best graph so far, of ``best`` edges: the
+    ``best_bits`` bitset over the candidates of ``best_coloring``, or the
+    ``warm`` start (``best_bits`` None) until the search strictly beats it."""
 
-    def __init__(self, budget):
+    __slots__ = ("nodes", "budget", "best", "best_bits", "best_coloring", "warm")
+
+    def __init__(self, budget, warm: ConvexGraph | None):
         self.nodes = 0
         self.budget = budget
-        self.best = -1
-        self.best_edges: list[tuple[int, int]] = []
-        self.best_coloring = None
+        self.best = -1 if warm is None else warm.m
+        self.best_bits: int | None = None
+        self.best_coloring = None if warm is None else warm.coloring
+        self.warm = warm
+
+    def witness(self, n: int) -> ConvexGraph:
+        if self.best_bits is None:
+            return self.warm
+        cands = _tables(n, self.best_coloring)[0]
+        return ConvexGraph(n, [e for i, e in enumerate(cands) if self.best_bits >> i & 1],
+                           self.best_coloring)
 
 
 def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int) -> None:
     """Branch and bound over one fixed coloring (None = unconstrained)."""
-    cands = _candidate_list(n, coloring)
+    cands, cross = _tables(n, coloring)
     m_cand = len(cands)
-    cross = _cross_table(n, cands)
 
     n_costs = min(k, m_cand) + 1  # a candidate's cost never exceeds k or m_inc
 
@@ -227,7 +256,7 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int) -> None:
         inc.nodes += 1
         if m_inc > inc.best:
             inc.best = m_inc
-            inc.best_edges = [cands[i] for i in range(m_cand) if included >> i & 1]
+            inc.best_bits = included
             inc.best_coloring = coloring
         if inc.budget is not None and inc.nodes > inc.budget:
             raise BudgetExceededError("search node budget exceeded")
@@ -272,7 +301,8 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int) -> None:
     dfs([(i, 0) for i in range(m_cand)], per_cost, 0, 0, 0, 0)
 
 
-def _canonical_colorings(n: int) -> list[tuple[int, ...]]:
+@functools.cache
+def _canonical_colorings(n: int) -> tuple[tuple[int, ...], ...]:
     """All 2-colorings with vertex 0 on side 0, one per dihedral/swap orbit.
 
     Vertex i > 0 takes bit i - 1 of the loop counter, and a coloring is
@@ -291,7 +321,7 @@ def _canonical_colorings(n: int) -> list[tuple[int, ...]]:
                   for word in (value, mirrored) for t in range(n))
         if all(value <= img and value <= img ^ mask for img in images):
             reps.append(tuple((value >> (n - 1 - i)) & 1 for i in range(n)))
-    return reps
+    return tuple(reps)
 
 
 def _mode_colorings(n: int, mode: str):
@@ -358,12 +388,8 @@ def max_edges(n: int, k: int, mode: str = "general", *,
     settings = {"n": n, "k": k, "mode": mode}
     bipartite = mode != "general"
     static_ub = _static_upper(n, k, bipartite)
-    inc = _Incumbent(node_budget)
-    if warm_start is not None:
-        warm = _validate_warm_start(warm_start, n, k, mode)
-        inc.best = warm.m
-        inc.best_edges = warm.sorted_edges()
-        inc.best_coloring = warm.coloring
+    inc = _Incumbent(node_budget, None if warm_start is None
+                     else _validate_warm_start(warm_start, n, k, mode))
     exceeded = None
     try:
         for coloring in colorings:
@@ -372,7 +398,7 @@ def max_edges(n: int, k: int, mode: str = "general", *,
         exceeded = exc
     result = SearchResult(
         max_edges=inc.best,
-        witness=ConvexGraph(n, inc.best_edges, inc.best_coloring),
+        witness=inc.witness(n),
         nodes_explored=inc.nodes,
         proven_optimal=exceeded is None,
         settings=settings,

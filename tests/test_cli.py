@@ -449,6 +449,22 @@ def test_console_script():
     assert proc.stdout == "246\n", proc.stderr
 
 
+def test_module_entry_points():
+    # python -m outerkplanar.cli runs the same front end as python -m outerkplanar
+    argv = ["bounds", "--n", "10", "--k", "3"]
+    via_package, via_cli = (
+        subprocess.run([sys.executable, "-m", module, *argv],
+                       capture_output=True, env=package_env())
+        for module in ("outerkplanar", "outerkplanar.cli"))
+    assert via_package.returncode == 0, via_package.stderr
+    assert via_package.stdout  # a report, not silence
+    assert via_cli.returncode == 0, via_cli.stderr
+    assert via_cli.stdout == via_package.stdout
+    bad = subprocess.run([sys.executable, "-m", "outerkplanar.cli", "--nonsense"],
+                         capture_output=True, env=package_env())
+    assert bad.returncode != 0
+
+
 def test_circulant_mohar_matches_the_numpy_spectrum():
     from outerkplanar.circulant import CirculantSpec, adjacency_eigenvalues
 

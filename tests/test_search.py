@@ -23,6 +23,7 @@ from outerkplanar.search import (
     _canonical_colorings,
     _cross_table,
     _mode_colorings,
+    _tables,
 )
 
 
@@ -253,7 +254,7 @@ def test_search_result_settings():
 
 def test_canonical_colorings_match_tuple_oracle():
     for n in range(2, 13):
-        assert _canonical_colorings(n) == canonical_colorings_by_tuples(n), n
+        assert _canonical_colorings(n) == tuple(canonical_colorings_by_tuples(n)), n
 
 
 def test_cross_table_matches_pairwise_rule():
@@ -266,6 +267,60 @@ def test_cross_table_matches_pairwise_rule():
                 want = [sum(1 << j for j, f in enumerate(cands) if chords_cross(n, e, f))
                         for e in cands]
                 assert _cross_table(n, cands) == want, (n, coloring)
+                # the memoized tables the search reads
+                assert _tables(n, coloring) == (tuple(cands), tuple(want)), (n, coloring)
+
+
+def test_memoized_tables_survive_a_k_grid():
+    # A k-grid at fixed n reads the same cached tables for every k; a
+    # search that changed them would change a later cell's result.
+    grid = [("general", 8, k) for k in range(5)] + [("bipartite_free", 8, k) for k in range(4)]
+    shared = [max_edges(n, k, mode) for mode, n, k in grid]
+    fresh = []
+    for mode, n, k in grid:
+        _tables.cache_clear()
+        fresh.append(max_edges(n, k, mode))
+    assert shared == fresh
+    for coloring in (None, *_canonical_colorings(8)):
+        cands, cross = _tables(8, coloring)
+        assert type(cands) is tuple and type(cross) is tuple
+
+
+def test_budget_exceeded_bipartite_witness():
+    # the partial witness is decoded from the incumbent's bitset over the
+    # candidates of its own coloring
+    for budget in (50, 500, 5000):
+        with pytest.raises(BudgetExceededError) as info:
+            max_edges(10, 2, "bipartite_free", node_budget=budget)
+        partial = info.value.result
+        assert not partial.proven_optimal
+        check_witness(partial, 10, 2, "bipartite_free")
+
+
+def test_unbeaten_warm_start_is_returned():
+    for n, k, mode in [(8, 2, "general"), (8, 2, "bipartite_free")]:
+        cold = max_edges(n, k, mode)
+        g = cold.witness
+        # a rotation of the optimum: as good, but not the graph the search finds
+        warm = ConvexGraph(n, [((a + 1) % n, (b + 1) % n) for a, b in g.edges],
+                           g.coloring and g.coloring[-1:] + g.coloring[:-1])
+        assert warm.edges != g.edges
+        res = max_edges(n, k, mode, warm_start=warm)
+        assert res.proven_optimal and res.max_edges == cold.max_edges
+        assert res.witness == warm  # its edges and its coloring
+        check_witness(res, n, k, mode)
+
+
+def test_beaten_warm_start_gives_the_cold_witness():
+    # The first optimal graph in search order is never pruned, whatever
+    # worse incumbent the search starts from.
+    for n, k, mode in [(8, 2, "general"), (8, 2, "bipartite_free")]:
+        cold = max_edges(n, k, mode)
+        hull = ConvexGraph(n, [(i, (i + 1) % n) for i in range(n)],
+                           [i % 2 for i in range(n)] if mode != "general" else None)
+        res = max_edges(n, k, mode, warm_start=hull)
+        assert res.max_edges == cold.max_edges > hull.m
+        assert res.witness == cold.witness  # edges and coloring
 
 
 # Every mode at n <= 9, k <= 4, except general (9,3) and (9,4), which
