@@ -114,7 +114,7 @@ class ConvexGraph:
         check that separately.
     """
 
-    __slots__ = ("n", "edges", "coloring")
+    __slots__ = ("n", "edges", "coloring", "_nbrs")
 
     def __init__(self, n: int, edges=(), coloring=None):
         n = int(n)
@@ -130,6 +130,7 @@ class ConvexGraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", normalized)
         object.__setattr__(self, "coloring", coloring)
+        object.__setattr__(self, "_nbrs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ConvexGraph is immutable")
@@ -149,11 +150,20 @@ class ConvexGraph:
         return deg
 
     def adjacency(self) -> list[set[int]]:
-        adj = [set() for _ in range(self.n)]
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
+        return [set(nb) for nb in self._neighbours()]
+
+    def _neighbours(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours in ascending order, built on first use
+        and shared by the functions below that only read the graph."""
+        if self._nbrs is None:
+            nbrs: list[list[int]] = [[] for _ in range(self.n)]
+            for a, b in self.edges:
+                nbrs[a].append(b)
+                nbrs[b].append(a)
+            for nb in nbrs:
+                nb.sort()
+            object.__setattr__(self, "_nbrs", tuple(map(tuple, nbrs)))
+        return self._nbrs
 
     def with_coloring(self, coloring) -> "ConvexGraph":
         return ConvexGraph(self.n, self.edges, coloring)
@@ -183,12 +193,7 @@ def crossing_counts(g: ConvexGraph) -> dict[tuple[int, int], int]:
     """
     n = g.n
     edges = g.sorted_edges()
-    # Built from the sorted edges, each neighbour list comes out ascending:
-    # a vertex's lower neighbours are appended before its higher ones.
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
+    nbrs = g._neighbours()  # ascending, as the bisections need
     prefix = [0, *accumulate(map(len, nbrs))]  # prefix[v] = sum of deg(u), u < v
 
     # I(a, b): walk the edges in decreasing (a, b) order and keep a Fenwick
@@ -254,10 +259,7 @@ def degeneracy_order(g: ConvexGraph) -> tuple[list[int], int]:
     degeneracy : int
         The largest degree observed at removal time.
     """
-    return _degeneracy(g.adjacency())
-
-
-def _degeneracy(adj: list[set[int]]) -> tuple[list[int], int]:
+    adj = g._neighbours()
     deg = [len(nb) for nb in adj]
     heap = [(d, v) for v, d in enumerate(deg)]
     heapq.heapify(heap)
@@ -285,9 +287,9 @@ def greedy_color(g: ConvexGraph, order: list[int] | None = None) -> tuple[dict[i
     neighbors, so the color count never exceeds degeneracy + 1.  A caller
     that already holds ``degeneracy_order(g)[0]`` may pass it as ``order``.
     """
-    adj = g.adjacency()
+    adj = g._neighbours()
     if order is None:
-        order, _ = _degeneracy(adj)
+        order, _ = degeneracy_order(g)
     colors: dict[int, int] = {}
     for v in reversed(order):
         taken = {colors[u] for u in adj[v] if u in colors}
@@ -301,7 +303,7 @@ def greedy_color(g: ConvexGraph, order: list[int] | None = None) -> tuple[dict[i
 
 def bipartition(g: ConvexGraph):
     """A proper 2-coloring of g found by BFS, or None if none exists."""
-    adj = g.adjacency()
+    adj = g._neighbours()
     side = [-1] * g.n
     for start in range(g.n):
         if side[start] != -1:

@@ -12,17 +12,18 @@ rotation, reflection, and color swap).
 The solver enumerates candidate chords in a fixed order (increasing chord
 length, then lexicographic) and branches include/exclude on the first
 still-addable candidate.  Feasibility is monotone (an edge that cannot be
-added now can never be added later), so each node filters its parent's
-candidate list.  Each node gets its state as arguments: the addable
-candidates with their costs (crossings with included edges) and a count
-per cost, bitsets of the included and of the saturated edges (those
-crossed k times), the crossing headroom left on included edges, and the
-number of edges included.  Pruning uses ``_node_bound``, an admissible
-optimistic bound over that state, which ``upper_prune`` exposes for a
-given partial graph.  One dominance rule skips branches: once the include
-branch of a chord that crosses no candidate has been searched, its exclude
-branch is not, because adding that chord to any graph of the exclude
-branch keeps it feasible and gains an edge.  Hull edges cross nothing, so
+added now can never be added later), so each node derives its addable
+set from its parent's with a few bitset operations.  Each node gets its
+state as arguments: the bitset of addable candidates and, per cost c,
+the bitset of those that cross exactly c included edges, bitsets of the
+included and of the saturated edges (those crossed k times), the
+crossing headroom left on included edges, and the number of edges
+included.  Pruning uses ``_node_bound``, an admissible optimistic bound
+over that state, which ``upper_prune`` exposes for a given partial
+graph.  One dominance rule skips branches: once the include branch of a
+chord that crosses no candidate has been searched, its exclude branch is
+not, because adding that chord to any graph of the exclude branch keeps
+it feasible and gains an edge.  Hull edges cross nothing, so
 in general mode every searched graph contains the first candidate, the
 hull edge (0, 1), which also leaves no rotation of the first edge to try.
 
@@ -162,8 +163,9 @@ def _node_bound(m_inc: int, n_feas: int, per_cost, cap: int, static_ub: int) -> 
 
     The node has ``m_inc`` edges included, ``n_feas`` candidates still
     individually addable of which ``per_cost[c]`` cross exactly c included
-    edges, and ``cap`` crossing headroom (the sum of k minus the crossing
-    count over the included edges).  The bound is the least of
+    edges (read only for emptiness, so a count or a bitset of those
+    candidates will do), and ``cap`` crossing headroom (the sum of k minus
+    the crossing count over the included edges).  The bound is the least of
     ``m_inc + n_feas``, the closed-form ``static_ub``, and, when the
     cheapest addable candidate crosses c_min > 0 included edges,
     ``m_inc + cap // c_min``: every edge a completion adds takes at least
@@ -205,17 +207,17 @@ def upper_prune(n: int, k: int, state, remaining, *, bipartite: bool = False) ->
         if count == k:
             sat |= 1 << i
         cap += k - count
-    per_cost = [0] * (k + 1)
-    n_feas = 0
+    feas = 0
+    layers = [0] * (min(k, len(state_bits)) + 1)  # a cost never exceeds k or |state|
     for f in {_normalize_edge(n, e) for e in remaining}:
         i = index[f]
         if included >> i & 1 or cross[i] & sat:
             continue
         cost = (cross[i] & included).bit_count()
         if cost <= k:
-            per_cost[cost] += 1
-            n_feas += 1
-    return _node_bound(len(state_bits), n_feas, per_cost, cap,
+            feas |= 1 << i
+            layers[cost] |= 1 << i
+    return _node_bound(len(state_bits), feas.bit_count(), layers, cap,
                        _static_upper(n, k, bipartite))
 
 
@@ -249,10 +251,10 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int) -> None:
 
     n_costs = min(k, m_cand) + 1  # a candidate's cost never exceeds k or m_inc
 
-    def dfs(feas, per_cost, included, sat, cap, m_inc):
-        # feas holds the addable (candidate, cost) pairs and per_cost[c]
-        # counts those of cost c.  A call owns the per_cost it is given:
-        # its caller never reads it again.
+    def dfs(feas, layers, included, sat, cap, m_inc):
+        # feas is the bitset of addable candidates and layers[c] the
+        # bitset of those that cross exactly c included edges.  A call
+        # owns the layers it is given: its caller never reads them again.
         inc.nodes += 1
         if m_inc > inc.best:
             inc.best = m_inc
@@ -262,43 +264,50 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int) -> None:
             raise BudgetExceededError("search node budget exceeded")
         if not feas:
             return
-        if _node_bound(m_inc, len(feas), per_cost, cap, static_ub) <= inc.best:
+        if _node_bound(m_inc, feas.bit_count(), layers, cap, static_ub) <= inc.best:
             return
-        (i0, c0) = feas[0]
-        rest = feas[1:]
-        # include branch
-        bit0 = 1 << i0
+        # branch on the first addable candidate in candidate order
+        bit0 = feas & -feas
+        i0 = bit0.bit_length() - 1
+        x0 = cross[i0]
+        t = x0 & included
+        c0 = t.bit_count()
+        # include branch: drop i0, the candidates it would push past k
+        # crossings (the top layer's that cross it: layers[-1] is
+        # layers[k], or empty when k >= m_cand) and those that cross a
+        # newly saturated edge, i0 or an included edge it crosses
         new_included = included | bit0
         new_sat = sat | bit0 if c0 == k else sat
-        t = cross[i0] & included
+        drop = bit0 | (x0 if c0 == k else layers[-1] & x0)
         while t:
             low = t & -t
-            if (cross[low.bit_length() - 1] & new_included).bit_count() == k:
+            x = cross[low.bit_length() - 1]
+            if (x & new_included).bit_count() == k:
                 new_sat |= low
+                drop |= x
             t ^= low
-        new_feas = []
-        new_per_cost = [0] * n_costs
-        for (i, c) in rest:
-            ci = cross[i]
-            c2 = c + 1 if ci & bit0 else c
-            if c2 > k or ci & new_sat:
-                continue
-            new_feas.append((i, c2))
-            new_per_cost[c2] += 1
-        dfs(new_feas, new_per_cost, new_included, new_sat, cap + k - 2 * c0, m_inc + 1)
-        if not cross[i0]:
+        new_feas = feas & ~drop
+        # the others that cross i0 move up one layer
+        stay = new_feas & ~x0
+        move = new_feas & x0
+        new_layers = []
+        below = 0
+        for layer in layers:
+            new_layers.append(layer & stay | below & move)
+            below = layer
+        dfs(new_feas, new_layers, new_included, new_sat, cap + k - 2 * c0, m_inc + 1)
+        if not x0:
             # Dominance: i0 crosses no candidate, so adding it to any
             # completion of the exclude branch stays feasible and gains
             # an edge; the include branch just searched holds a
             # strictly better graph, and the incumbent already has it.
             return
         # exclude branch
-        per_cost[c0] -= 1
-        dfs(rest, per_cost, included, sat, cap, m_inc)
+        layers[c0] ^= bit0
+        dfs(feas ^ bit0, layers, included, sat, cap, m_inc)
 
-    per_cost = [0] * n_costs
-    per_cost[0] = m_cand
-    dfs([(i, 0) for i in range(m_cand)], per_cost, 0, 0, 0, 0)
+    every = (1 << m_cand) - 1
+    dfs(every, [every] + [0] * (n_costs - 1), 0, 0, 0, 0)
 
 
 @functools.cache

@@ -181,6 +181,32 @@ def test_bipartition():
     assert is_bipartite(ConvexGraph(3, []))
 
 
+def test_adjacency_copy_does_not_reach_the_shared_neighbours():
+    # crossing_counts, degeneracy_order, greedy_color and bipartition share
+    # one neighbour structure built from the graph; adjacency() hands out a
+    # fresh copy, before that structure is built and after
+    def scramble(adj):
+        for nb in adj:
+            nb.clear()
+        adj[0].update(range(1, len(adj)))
+        adj.append({0})
+
+    def read(h):
+        return degeneracy_order(h), greedy_color(h), bipartition(h), crossing_counts(h)
+
+    hexagon = [(i, (i + 1) % 6) for i in range(6)]
+    chain = kx_chain(4, 3)
+    for n, edges in ((6, hexagon), (chain.n, chain.edges)):
+        g = ConvexGraph(n, edges)
+        scramble(g.adjacency())
+        first = read(g)
+        scramble(g.adjacency())
+        assert read(g) == first == read(ConvexGraph(n, edges))
+        assert g.adjacency() == [{u for e in edges for u in e if v in e and u != v}
+                                 for v in range(n)]
+    assert read(ConvexGraph(6, hexagon))[2] == (0, 1, 0, 1, 0, 1)
+
+
 def test_json_round_trip():
     g = ConvexGraph(6, [(0, 3), (1, 2), (0, 5)], coloring=[0, 1, 0, 1, 0, 1])
     text = graph_to_json(g)

@@ -195,6 +195,9 @@ def test_upper_prune_examples():
     assert upper_prune(6, 1, [(0, 3), (1, 4), (4, 5)], [(2, 4)]) == 3
     with pytest.raises(ValueError, match="not outer"):
         upper_prune(5, 1, list(k5.edges), [])
+    # a huge k costs no more than a small one: no candidate's cost exceeds
+    # the state's size, so the node state holds that many cost layers
+    assert upper_prune(6, 10**12, [(0, 3)], [(1, 4), (2, 5)]) == 3
 
 
 def test_upper_prune_is_admissible(rng):
@@ -361,9 +364,36 @@ def test_nodes_explored_frozen():
     # nodes_explored is printed output too: a pruning change that moves
     # these counts updates them and lists the change in CHANGES.md.
     # (bipartite_consecutive, 10, 4) is one of the few cells where the
-    # exclude branch's per-cost counts decide a capacity prune.
+    # exclude branch's cost layers decide a capacity prune.
     want = {("general", 8, 3): 18479, ("bipartite_free", 8, 3): 647,
             ("bipartite_alternating", 10, 2): 1113,
-            ("bipartite_consecutive", 10, 4): 38706}
+            ("bipartite_consecutive", 10, 4): 38706,
+            # cells at n >= 10, where the candidate sets are widest
+            ("general", 11, 2): 7496, ("general", 12, 1): 41,
+            ("bipartite_free", 10, 0): 7747, ("bipartite_free", 10, 2): 34531,
+            ("bipartite_alternating", 10, 4): 1961,
+            ("bipartite_consecutive", 11, 2): 31227,
+            ("bipartite_consecutive", 12, 1): 39559}
     got = {cell: max_edges(cell[1], cell[2], cell[0]).nodes_explored for cell in want}
     assert got == want
+
+
+# sha256 over the budget-cut runs below of (mode, n, k, budget, max_edges,
+# nodes_explored, witness edges, coloring), frozen before the addable
+# candidates were kept as bitsets: a search that stops early must stop at
+# the same node with the same incumbent.
+BUDGET_CUT_DIGEST = "777baccc3308d09420252d24fb54a62dcc0384ec200b3bbe1d1dbabede89da52"
+
+
+def test_budget_cut_incumbents_frozen():
+    h = hashlib.sha256()
+    for mode, n, k in [("general", 11, 2), ("general", 10, 4), ("bipartite_free", 10, 2),
+                       ("bipartite_consecutive", 12, 1), ("bipartite_alternating", 10, 4)]:
+        for budget in (0, 1, 7, 100, 1000, 5000):
+            try:
+                res = max_edges(n, k, mode, node_budget=budget)
+            except BudgetExceededError as exc:
+                res = exc.result
+            h.update(json.dumps([mode, n, k, budget, res.max_edges, res.nodes_explored,
+                                 res.witness.sorted_edges(), res.witness.coloring]).encode())
+    assert h.hexdigest() == BUDGET_CUT_DIGEST
