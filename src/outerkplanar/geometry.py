@@ -23,11 +23,14 @@ where I(a, b) counts the edges (c, d) with a < c < d < b and E(a, b) the
 edges joining a vertex strictly inside (a, b) to a or to b: the degree sum
 counts every edge with an endpoint inside once per such endpoint, and only
 the edges with exactly one endpoint inside and the other outside [a, b]
-cross.  The degree sum is a prefix-sum difference, E is two bisections per
-endpoint, and I for all m chords is one offline dominance count with a
-Fenwick tree, so the whole count costs O((n + m) log n) time and O(n + m)
-memory.  ``chords_cross`` stays the pairwise rule for callers that need to
-know which pairs cross.
+cross.  The degree sum is a prefix-sum difference.  One walk visits the
+edges in decreasing (a, b) order, reading each vertex's upper neighbours
+off its ascending neighbour list: a Fenwick tree over the right endpoints
+already walked gives I, and E is read off the walk (b's rank among a's
+upper neighbours, plus a counter per b of the edges (a', b) walked so
+far), with no bisection or lookup per edge.  The whole count costs
+O((n + m) log n) time and O(n + m) memory.  ``chords_cross`` stays the pairwise rule for
+callers that need to know which pairs cross.
 
 The degeneracy helpers at the bottom exist because several of the density
 arguments elsewhere in the package reduce to "every induced subgraph has a
@@ -36,9 +39,10 @@ low-degree vertex".
 
 from __future__ import annotations
 
-import heapq
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
+from functools import partial
+from heapq import heapify, heappop, heappush
 from itertools import accumulate
 
 __all__ = [
@@ -64,11 +68,15 @@ def _normalize_edge(n: int, edge) -> tuple[int, int]:
     """Return edge as (a, b) with 0 <= a < b < n, rejecting loops."""
     a, b = edge
     a, b = int(a), int(b)
-    if a == b:
+    if a < b:
+        if 0 <= a and b < n:
+            return (a, b)
+    elif b < a:
+        if 0 <= b and a < n:
+            return (b, a)
+    else:
         raise ValueError(f"loop edge ({a}, {b}) is not allowed")
-    if not (0 <= a < n and 0 <= b < n):
-        raise ValueError(f"edge ({a}, {b}) has an endpoint outside 0..{n - 1}")
-    return (a, b) if a < b else (b, a)
+    raise ValueError(f"edge ({a}, {b}) has an endpoint outside 0..{n - 1}")
 
 
 def chord_length(n: int, edge) -> int:
@@ -120,7 +128,7 @@ class ConvexGraph:
         n = int(n)
         if n < 2:
             raise ValueError("a convex graph needs at least 2 vertices")
-        normalized = frozenset(_normalize_edge(n, e) for e in edges)
+        normalized = frozenset(map(partial(_normalize_edge, n), edges))
         if coloring is not None:
             coloring = tuple(int(c) for c in coloring)
             if len(coloring) != n:
@@ -189,38 +197,46 @@ def crossing_counts(g: ConvexGraph) -> dict[tuple[int, int], int]:
     """Per-edge crossing counts under the convex drawing, keyed in sorted order.
 
     Uses crossings(a, b) = sum_{a<v<b} deg(v) - 2 I(a, b) - E(a, b) (see the
-    module docstring) in O((n + m) log n) time and O(n + m) memory.
+    module docstring) in one walk over the edges (a, b) in decreasing order,
+    read off the neighbour lists, so no edge is looked up or bisected; the
+    walk reversed is the sorted-edge order of the keys.  O((n + m) log n)
+    time, O(n + m) memory.
     """
     n = g.n
-    edges = g.sorted_edges()
-    nbrs = g._neighbours()  # ascending, as the bisections need
+    nbrs = g._neighbours()  # ascending
     prefix = [0, *accumulate(map(len, nbrs))]  # prefix[v] = sum of deg(u), u < v
-
-    # I(a, b): walk the edges in decreasing (a, b) order and keep a Fenwick
-    # tree over the right endpoints of the edges already passed.  Those with
-    # left endpoint a have right endpoint above b, so counting passed right
-    # endpoints below b counts exactly the edges nested strictly inside.
+    # The Fenwick tree holds the right endpoints of the edges already walked,
+    # all of whose left endpoints exceed a, so the ones below b are exactly
+    # the edges nested inside (a, b): that is I(a, b).  Of E(a, b), a's
+    # neighbours inside are the j upper neighbours before b, and b's are
+    # the later[b] edges (a', b) already walked, since a < a' < b for them.
     tree = [0] * (n + 1)
-    nested = [0] * len(edges)
-    for idx in range(len(edges) - 1, -1, -1):
-        b = edges[idx][1]
-        i, s = b, 0
-        while i:
-            s += tree[i]
-            i &= i - 1
-        nested[idx] = s
-        i = b + 1
-        while i <= n:
-            tree[i] += 1
-            i += i & -i
-
-    counts = {}
-    for (a, b), inside in zip(edges, nested):
-        na, nb = nbrs[a], nbrs[b]
-        ends = (bisect_left(na, b) - bisect_right(na, a)
-                + bisect_left(nb, b) - bisect_right(nb, a))
-        counts[(a, b)] = prefix[b] - prefix[a + 1] - 2 * inside - ends
-    return counts
+    later = [0] * n
+    keys = []
+    values = []
+    for a in range(n - 1, -1, -1):
+        na = nbrs[a]
+        upper = na[bisect_right(na, a):]
+        base = prefix[a + 1]
+        j = len(upper)
+        for b in reversed(upper):
+            j -= 1
+            i, inside = b, 0
+            while i:
+                inside += tree[i]
+                i &= i - 1
+            seen = later[b]
+            later[b] = seen + 1
+            keys.append((a, b))
+            values.append(prefix[b] - base - 2 * inside - j - seen)
+        for b in upper:
+            i = b + 1
+            while i <= n:
+                tree[i] += 1
+                i += i & -i
+    keys.reverse()
+    values.reverse()
+    return dict(zip(keys, values))
 
 
 def max_crossing(g: ConvexGraph) -> int:
@@ -248,9 +264,10 @@ def diagonals(g: ConvexGraph) -> list[tuple[int, int]]:
 def degeneracy_order(g: ConvexGraph) -> tuple[list[int], int]:
     """Repeated minimum-degree removal, ties broken by smallest index.
 
-    A heap of (degree, vertex) with lazy deletion: degrees only fall, so a
-    vertex's current entry surfaces before its stale ones, which are then
-    skipped as removed.  O(m log n).
+    A heap of int keys d*n + v for vertex v at degree d, which order as the
+    pairs (d, v) do since 0 <= v < n.  key[v] is v's current key, or -1 once
+    v is removed; degrees only fall, so a popped key that is not key[v] is
+    stale and skipped.  O(m log n).
 
     Returns
     -------
@@ -260,23 +277,27 @@ def degeneracy_order(g: ConvexGraph) -> tuple[list[int], int]:
         The largest degree observed at removal time.
     """
     adj = g._neighbours()
-    deg = [len(nb) for nb in adj]
-    heap = [(d, v) for v, d in enumerate(deg)]
-    heapq.heapify(heap)
-    removed = [False] * len(adj)
+    n = len(adj)
+    key = [len(nb) * n + v for v, nb in enumerate(adj)]
+    heap = key[:]
+    heapify(heap)
     order = []
     degeneracy = 0
     while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v]:
+        x = heappop(heap)
+        v = x % n
+        if key[v] != x:
             continue
-        removed[v] = True
+        key[v] = -1
         order.append(v)
-        degeneracy = max(degeneracy, d)
+        if x // n > degeneracy:
+            degeneracy = x // n
         for u in adj[v]:
-            if not removed[u]:
-                deg[u] -= 1
-                heapq.heappush(heap, (deg[u], u))
+            k = key[u]
+            if k >= 0:
+                k -= n
+                key[u] = k
+                heappush(heap, k)
     return order, degeneracy
 
 
@@ -302,7 +323,13 @@ def greedy_color(g: ConvexGraph, order: list[int] | None = None) -> tuple[dict[i
 
 
 def bipartition(g: ConvexGraph):
-    """A proper 2-coloring of g found by BFS, or None if none exists."""
+    """A proper 2-coloring of g found by depth-first search, or None if none
+    exists.
+
+    Each component's smallest vertex gets side 0, which fixes the colouring
+    of a bipartite component, so the result does not depend on the order in
+    which the search visits vertices.
+    """
     adj = g._neighbours()
     side = [-1] * g.n
     for start in range(g.n):
@@ -342,6 +369,9 @@ def to_json_dict(g: ConvexGraph) -> dict:
     return doc
 
 
+_PAIR_TYPES = (list, tuple)
+
+
 def from_json_dict(doc) -> ConvexGraph:
     if not isinstance(doc, dict):
         raise ValueError("graph document must be a JSON object")
@@ -354,7 +384,7 @@ def from_json_dict(doc) -> ConvexGraph:
     if not isinstance(edges, list):
         raise ValueError("'edges' must be a list of pairs")
     for e in edges:
-        if not isinstance(e, (list, tuple)) or len(e) != 2:
+        if not isinstance(e, _PAIR_TYPES) or len(e) != 2:
             raise ValueError(f"edge entry {e!r} is not a pair")
         # ConvexGraph coerces with int(), which would take 1.7, true and "1";
         # the type test also rejects bool, which isinstance(_, int) accepts

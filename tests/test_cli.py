@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -162,6 +163,21 @@ def test_construct_verify_round_trip(tmp_path):
 
     code, payload = invoke_json("verify", str(path), "--k", "1")
     assert code == 0 and payload["outer_k_planar"] is False
+
+
+def test_verify_bytes_ignore_edge_order_and_duplicates(tmp_path):
+    g = outerkplanar.kx_chain(10, 40)
+    canonical = tmp_path / "canonical.json"
+    canonical.write_text(outerkplanar.graph_to_json(g))
+    edges = [[b, a] if i % 3 else [a, b] for i, (a, b) in enumerate(g.sorted_edges())]
+    edges += edges[::7]
+    random.Random(15).shuffle(edges)
+    messy = tmp_path / "messy.json"
+    messy.write_text(json.dumps({"n": g.n, "edges": edges}))
+    for k in ([], ["--k", "16"]):
+        code, text = invoke("verify", str(canonical), *k)
+        assert code == 0
+        assert invoke("verify", str(messy), *k) == (0, text)
 
 
 def test_verify_stdin(monkeypatch):

@@ -89,6 +89,34 @@ def test_graph_validation():
     assert g.sorted_edges() == [(0, 2), (1, 3)]
 
 
+def test_first_bad_edge_sets_the_message():
+    """The constructor and the JSON loader report the first bad entry, with
+    a loop checked before the range; good pairs normalise and deduplicate."""
+    for n, edges, message in (
+        (4, [(0, 1), (0, 9), (2, 2)], "edge (0, 9) has an endpoint outside 0..3"),
+        (4, [(1, 1), (0, 9)], "loop edge (1, 1) is not allowed"),
+        (4, [(5, 5), (0, 9)], "loop edge (5, 5) is not allowed"),
+        (4, [(3, -1), (2, 2)], "edge (3, -1) has an endpoint outside 0..3"),
+        (4, [(4, 0)], "edge (4, 0) has an endpoint outside 0..3"),
+    ):
+        for build in (lambda: ConvexGraph(n, edges),
+                      lambda: graph_from_json(json.dumps({"n": n, "edges": edges}))):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
+    for edges, message in (
+        ([[0, 1], [0, 1, 2], [0, 1.5]], "edge entry [0, 1, 2] is not a pair"),
+        ([[0, 1.5], [0]], "edge entry [0, 1.5] has an endpoint that is not an integer"),
+    ):
+        with pytest.raises(ValueError) as info:
+            graph_from_json(json.dumps({"n": 4, "edges": edges}))
+        assert str(info.value) == message
+    messy = [(3, 1), (1, 3), (4, 0), (0, 4), (2, 3), (3, 2), (3, 1)]
+    expect = [(0, 4), (1, 3), (2, 3)]
+    assert ConvexGraph(5, messy).sorted_edges() == expect
+    assert graph_from_json(json.dumps({"n": 5, "edges": messy})).sorted_edges() == expect
+
+
 def test_graph_immutable_and_hashable():
     g = ConvexGraph(4, [(0, 1)])
     with pytest.raises(AttributeError):
@@ -289,20 +317,43 @@ def test_crossing_counts_edge_cases():
         assert counts == crossing_counts_np(g.n, g.sorted_edges()), g
 
 
-def test_crossing_counts_scale_against_vectorized_counter():
-    g = kx_chain(10, 40)
-    counts = crossing_counts(g)
-    assert list(counts) == g.sorted_edges()
-    assert counts == crossing_counts_np(g.n, g.sorted_edges())
-    assert max(counts.values()) == 16
+def test_crossing_counts_scale_against_vectorized_counter(rng):
+    """kx_chain(10, 40) and random graphs with 50 <= n <= 150; the keys must
+    come in sorted-edge order, which the `verify` writer relies on."""
+    graphs = [kx_chain(10, 40)]
+    for trial in range(12):
+        n = rng.randrange(50, 151)
+        graphs.append(ConvexGraph(n, random_graph(rng, n, p=rng.uniform(0.02, 0.2))))
+    for g in graphs:
+        counts = crossing_counts(g)
+        assert list(counts) == g.sorted_edges()
+        assert counts == crossing_counts_np(g.n, g.sorted_edges())
+    assert max(crossing_counts(graphs[0]).values()) == 16
+
+
+def _sparse_graph_with_isolated_vertices(rng, n):
+    """Up to 2n random chords among a random 60-95 % of the vertices, so at
+    least one vertex is isolated."""
+    active = rng.sample(range(n), int(n * rng.uniform(0.6, 0.95)))
+    edges = set()
+    for _ in range(rng.randrange(0, 2 * n)):
+        a, b = rng.sample(active, 2)
+        edges.add((min(a, b), max(a, b)))
+    return ConvexGraph(n, edges)
 
 
 def test_degeneracy_order_matches_rescan(rng):
-    """The heap order is the rescan order: smallest degree, then index."""
+    """degeneracy_order removes the vertices in the rescan oracle's order,
+    smallest current degree first and then smallest index; the
+    greedy_colors that `verify` prints depends on that exact order."""
     for trial in range(200):
         n = rng.randrange(2, 31)
         edges = random_graph(rng, n, p=rng.random())
         g = ConvexGraph(n, edges)
         assert degeneracy_order(g) == degeneracy_order_by_rescan(n, g.edges)
+    for trial in range(12):
+        g = _sparse_graph_with_isolated_vertices(rng, rng.randrange(31, 301))
+        assert 0 in g.degrees()
+        assert degeneracy_order(g) == degeneracy_order_by_rescan(g.n, g.edges)
     for g in _kernel_cases():
         assert degeneracy_order(g) == degeneracy_order_by_rescan(g.n, g.edges)
