@@ -55,13 +55,6 @@ SQRT2 = math.sqrt(2.0)
 # used as the default guard for the "sufficiently large k" statements.
 DEFAULT_K_MIN = 176
 
-CROSSING_LEMMA_FLAVORS = (
-    "outer",
-    "outer_bipartite",
-    "multigraph_m2",
-    "multigraph_m2_bipartite",
-)
-
 
 def _check_nk(n: int, k: int) -> tuple[int, int]:
     n, k = int(n), int(k)
@@ -148,6 +141,22 @@ def general_lower_closed_form(n: int, k: int) -> float:
     return n * math.sqrt(k) + 3.0 * n - 2.0 * math.sqrt(k)
 
 
+# flavor -> (bound, least admissible m as a function of n, whether m must
+# exceed it, the window's text).  The float expressions stay as written:
+# precomputing 171/40 moves the window's edge at many cells (40j, 171j).
+_CROSSING_LEMMA = {
+    "outer": (lambda n, m: 8000.0 / 87723.0 * m**3 / n**2,
+              lambda n: 171.0 * n / 40.0, False, "171n/40"),
+    "outer_bipartite": (lambda n, m: 64.0 / 675.0 * m**3 / n**2,
+                        lambda n: 3.75 * n, False, "3.75n"),
+    "multigraph_m2": (lambda n, m: m**3 / (27.48 * 2.0 * n**2),
+                      lambda n: 6.77 * n, True, "6.77n"),
+    "multigraph_m2_bipartite": (lambda n, m: 1024.0 / 16875.0 * m**3 / (2.0 * n**2),
+                                lambda n: 6.77 * n, True, "6.77n"),
+}
+CROSSING_LEMMA_FLAVORS = tuple(_CROSSING_LEMMA)
+
+
 def crossing_lemma_lower(n: int, m: int, flavor: str = "outer") -> float:
     """Lower bound on crossings of a (multi)graph drawn on n convex points.
 
@@ -164,31 +173,14 @@ def crossing_lemma_lower(n: int, m: int, flavor: str = "outer") -> float:
     m = int(m)
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    if flavor == "outer":
-        if m < 171.0 * n / 40.0:
-            raise NotApplicableError(
-                f"outer flavor requires m >= 171n/40 = {171.0 * n / 40.0:g}"
-            )
-        return 8000.0 / 87723.0 * m**3 / n**2
-    if flavor == "outer_bipartite":
-        if m < 3.75 * n:
-            raise NotApplicableError(
-                f"outer_bipartite flavor requires m >= 3.75n = {3.75 * n:g}"
-            )
-        return 64.0 / 675.0 * m**3 / n**2
-    if flavor == "multigraph_m2":
-        if m <= 6.77 * n:
-            raise NotApplicableError(
-                f"multigraph_m2 flavor requires m > 6.77n = {6.77 * n:g}"
-            )
-        return m**3 / (27.48 * 2.0 * n**2)
-    if flavor == "multigraph_m2_bipartite":
-        if m <= 6.77 * n:
-            raise NotApplicableError(
-                f"multigraph_m2_bipartite flavor requires m > 6.77n = {6.77 * n:g}"
-            )
-        return 1024.0 / 16875.0 * m**3 / (2.0 * n**2)
-    raise ValueError(f"unknown flavor {flavor!r}")
+    if flavor not in _CROSSING_LEMMA:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    bound, least, strict, window = _CROSSING_LEMMA[flavor]
+    low = least(n)
+    if m <= low if strict else m < low:
+        raise NotApplicableError(
+            f"{flavor} flavor requires m {'>' if strict else '>='} {window} = {low:g}")
+    return bound(n, m)
 
 
 def bipartite_lower(n: int, k: int, setting: str = "alternating") -> LowerBoundValue:

@@ -46,35 +46,28 @@ _EXIT_CODES = {
 }
 
 
-# The package names the handlers call, by defining module.  A handler loads
-# its modules with _load on first use, which binds these names into this
-# module's globals; a name already set here, such as a wrapper a test or
-# the benchmark put on cli.crossing_counts, is kept, and is what the
+# The modules whose public names the handlers call.  A handler loads its
+# modules with _load on first use, which binds each module's __all__ into
+# this module's globals; a name already set here, such as a wrapper a test
+# or the benchmark put on cli.crossing_counts, is kept, and is what the
 # handler calls.  Before any command has run, the module __getattr__ below
 # loads a name on request, so it can be read and replaced from outside.
-_LAZY_NAMES = {
-    "bounds": ("BIPARTITE_UPPER_VARIANTS", "DEFAULT_K_MIN", "GENERAL_UPPER_VARIANTS",
-               "bipartite_upper", "bound_report", "general_upper"),
-    "constructions": ("complete_graph", "cycle_graph", "kx_chain", "kxx_alternating",
-                      "kxx_chain"),
-    "geometry": ("crossing_counts", "degeneracy_order", "graph_from_json",
-                 "greedy_color", "is_bipartite", "to_json_dict"),
-    "search": ("max_edges",),
-}
+_MODULES = ("bounds", "constructions", "geometry", "search")
 
 
 def _load(*modules: str) -> None:
     for module in modules:
         loaded = import_module(f"{__package__}.{module}")
-        for name in _LAZY_NAMES[module]:
+        for name in loaded.__all__:
             globals().setdefault(name, getattr(loaded, name))
 
 
 def __getattr__(name):
-    for module, names in _LAZY_NAMES.items():
-        if name in names:
+    if not name.startswith("_"):
+        for module in _MODULES:
             _load(module)
-            return globals()[name]
+            if name in globals():
+                return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -160,15 +153,13 @@ def _report_payload(report, precision: int) -> dict:
             "entries": entries}
 
 
-def _report_csv(report, precision: int) -> str:
+def _csv(header, rows) -> str:
     import csv
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "kind", "value", "valid", "source"])
-    for e in report.entries:
-        value = "" if e.value is None else _fmt(e.value, precision)
-        writer.writerow([e.name, e.kind, value, e.valid, e.source])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -200,24 +191,28 @@ def _cmd_bounds(args) -> str:
     report = bound_report(args.n, args.k, bipartite=args.bipartite,
                           k_min=_k_min(args))
     if args.format == "csv":
-        return _report_csv(report, args.precision)
+        return _csv(["name", "kind", "value", "valid", "source"],
+                    ([e.name, e.kind, "" if e.value is None else _fmt(e.value, args.precision),
+                      e.valid, e.source] for e in report.entries))
     return _dump(_report_payload(report, args.precision))
 
 
 # ------------------------------------------------------------- construct
 
-_CONSTRUCT_FLAGS = {
-    "complete": ("x",),
-    "cycle": ("n",),
-    "kx-chain": ("x", "blocks"),
-    "kxx-alternating": ("x",),
-    "kxx-chain": ("x", "blocks"),
+# kind -> (the builder's name in this module, its flags in argument order);
+# the builder is looked up when called, so a wrapper put on cli is used
+_CONSTRUCT = {
+    "complete": ("complete_graph", ("x",)),
+    "cycle": ("cycle_graph", ("n",)),
+    "kx-chain": ("kx_chain", ("x", "blocks")),
+    "kxx-alternating": ("kxx_alternating", ("x",)),
+    "kxx-chain": ("kxx_chain", ("x", "blocks")),
 }
 
 
 def _cmd_construct(args) -> str:
     _load("constructions", "geometry")
-    wanted = _CONSTRUCT_FLAGS[args.kind]
+    builder, wanted = _CONSTRUCT[args.kind]
     for flag in ("x", "n", "blocks"):
         have = getattr(args, flag) is not None
         if have and flag not in wanted:
@@ -227,16 +222,7 @@ def _cmd_construct(args) -> str:
             raise CliError("invalid-flags",
                            f"construct {args.kind} requires --{flag}")
     try:
-        if args.kind == "complete":
-            g = complete_graph(args.x)
-        elif args.kind == "cycle":
-            g = cycle_graph(args.n)
-        elif args.kind == "kx-chain":
-            g = kx_chain(args.x, args.blocks)
-        elif args.kind == "kxx-alternating":
-            g = kxx_alternating(args.x)
-        else:
-            g = kxx_chain(args.x, args.blocks)
+        g = globals()[builder](*(getattr(args, flag) for flag in wanted))
     except ValueError as exc:
         raise CliError("invalid-input", str(exc)) from exc
     return _dump(to_json_dict(g))
@@ -328,6 +314,14 @@ def _cmd_search(args) -> str:
 # ------------------------------------------------------------- circulant
 
 
+# method -> its bound, given the circulant module and the spec
+_CIRCULANT_BOUNDS = {
+    "mohar": lambda circ, spec: circ.mohar_bound(spec),
+    "lemma": lambda circ, spec: circ.lemma_maxcut_bound(spec),
+    "lemma-refined": lambda circ, spec: circ.lemma_maxcut_bound(spec, refined=True),
+}
+
+
 def _cmd_circulant(args) -> str:
     from . import circulant as circ
 
@@ -344,13 +338,8 @@ def _cmd_circulant(args) -> str:
             raise CliError("budget-exceeded", str(exc)) from exc
         payload["value"] = cut.value
         payload["sides"] = list(cut.sides)
-    elif args.method == "mohar":
-        payload["value"] = _num(circ.mohar_bound(spec), args.precision)
-    elif args.method == "lemma":
-        payload["value"] = _num(circ.lemma_maxcut_bound(spec), args.precision)
-    else:  # lemma-refined
-        payload["value"] = _num(circ.lemma_maxcut_bound(spec, refined=True),
-                                args.precision)
+    else:
+        payload["value"] = _num(_CIRCULANT_BOUNDS[args.method](circ, spec), args.precision)
     return _dump(payload)
 
 
@@ -404,15 +393,9 @@ def _cmd_sweep(args) -> str:
             for n, k, name, value, valid in rows
         ]
         return _dump(payload)
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "k", "bound_name", "value", "valid"])
-    for n, k, name, value, valid in rows:
-        cell = "" if value is None else _fmt(value, args.precision)
-        writer.writerow([n, k, name, cell, valid])
-    return buf.getvalue()
+    return _csv(["n", "k", "bound_name", "value", "valid"],
+                ([n, k, name, "" if value is None else _fmt(value, args.precision), valid]
+                 for n, k, name, value, valid in rows))
 
 
 # ---------------------------------------------------------------- parser
@@ -439,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("construct", help="emit a generated graph as JSON")
-    p.add_argument("kind", choices=sorted(_CONSTRUCT_FLAGS))
+    p.add_argument("kind", choices=sorted(_CONSTRUCT))
     p.add_argument("--x", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--blocks", type=int, default=None)
@@ -455,6 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
                                       "(n <= search.MAX_SEARCH_N)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
+    # search.SEARCH_MODES without "general"; importing search here would load
+    # it on every command
     p.add_argument("--bipartite", choices=("free", "alternating", "consecutive"),
                    default=None)
     p.add_argument("--budget-nodes", type=int, default=None,
@@ -468,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--method", required=True,
-                   choices=("exact", "mohar", "lemma", "lemma-refined"))
+                   choices=("exact", *_CIRCULANT_BOUNDS))
     p.add_argument("--precision", type=int, default=6, metavar="DIGITS")
     p.set_defaults(func=_cmd_circulant)
 

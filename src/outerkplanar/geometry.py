@@ -52,8 +52,6 @@ __all__ = [
     "crossing_counts",
     "max_crossing",
     "is_outer_k_planar",
-    "hull_edges",
-    "diagonals",
     "degeneracy_order",
     "greedy_color",
     "bipartition",
@@ -150,16 +148,6 @@ class ConvexGraph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
-
-    def adjacency(self) -> list[set[int]]:
-        return [set(nb) for nb in self._neighbours()]
-
     def _neighbours(self) -> tuple[tuple[int, ...], ...]:
         """Each vertex's neighbours in ascending order, built on first use
         and shared by the functions below that only read the graph."""
@@ -251,16 +239,6 @@ def is_outer_k_planar(g: ConvexGraph, k: int) -> bool:
     return max_crossing(g) <= k
 
 
-def hull_edges(g: ConvexGraph) -> list[tuple[int, int]]:
-    """Edges of g that lie on the polygon boundary (chord length 0)."""
-    return [e for e in g.sorted_edges() if chord_length(g.n, e) == 0]
-
-
-def diagonals(g: ConvexGraph) -> list[tuple[int, int]]:
-    """Edges of g that are not hull edges."""
-    return [e for e in g.sorted_edges() if chord_length(g.n, e) > 0]
-
-
 def degeneracy_order(g: ConvexGraph) -> tuple[list[int], int]:
     """Repeated minimum-degree removal, ties broken by smallest index.
 
@@ -307,19 +285,22 @@ def greedy_color(g: ConvexGraph, order: list[int] | None = None) -> tuple[dict[i
     Each vertex gets the smallest color absent from its already-colored
     neighbors, so the color count never exceeds degeneracy + 1.  A caller
     that already holds ``degeneracy_order(g)[0]`` may pass it as ``order``.
+    The colors taken around a vertex are one int mask; its lowest clear bit
+    is the vertex's color.
     """
     adj = g._neighbours()
     if order is None:
         order, _ = degeneracy_order(g)
+    color = [-1] * len(adj)  # -1 until colored
     colors: dict[int, int] = {}
     for v in reversed(order):
-        taken = {colors[u] for u in adj[v] if u in colors}
-        c = 0
-        while c in taken:
-            c += 1
-        colors[v] = c
-    ncolors = 1 + max(colors.values(), default=0) if colors else 0
-    return colors, ncolors
+        used = 0
+        for u in adj[v]:
+            c = color[u]
+            if c >= 0:
+                used |= 1 << c
+        color[v] = colors[v] = (~used & (used + 1)).bit_length() - 1
+    return colors, max(color) + 1
 
 
 def bipartition(g: ConvexGraph):

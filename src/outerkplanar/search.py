@@ -63,12 +63,6 @@ __all__ = [
 ]
 
 MAX_SEARCH_N = 12
-SEARCH_MODES = (
-    "general",
-    "bipartite_free",
-    "bipartite_alternating",
-    "bipartite_consecutive",
-)
 
 
 @dataclass(frozen=True)
@@ -192,7 +186,9 @@ def upper_prune(n: int, k: int, state, remaining, *, bipartite: bool = False) ->
     and its crossing bitsets, and ``_node_bound`` is evaluated on it; see
     there for the three quantities.  ``bipartite`` selects the closed-form
     bounds of a bipartite search.  The bound never undercuts the best
-    completion of ``state`` by edges of ``remaining``.
+    completion of ``state`` by edges of ``remaining``.  The first call at
+    a given n builds that n's C(n, 4) crossing table in ``_tables``, which
+    keeps it for the life of the process.
     """
     cands, cross = _tables(n, None)
     index = {e: i for i, e in enumerate(cands)}
@@ -333,16 +329,15 @@ def _canonical_colorings(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(reps)
 
 
-def _mode_colorings(n: int, mode: str):
-    if mode == "general":
-        return [None]
-    if mode == "bipartite_alternating":
-        return [tuple(i % 2 for i in range(n))]
-    if mode == "bipartite_consecutive":
-        return [(0,) * t + (1,) * (n - t) for t in range(1, n // 2 + 1)]
-    if mode == "bipartite_free":
-        return _canonical_colorings(n)
-    raise ValueError(f"unknown mode {mode!r}; choose one of {SEARCH_MODES}")
+# mode -> the colorings its search runs over at n (None: no coloring)
+_MODE_COLORINGS = {
+    "general": lambda n: [None],
+    "bipartite_free": _canonical_colorings,
+    "bipartite_alternating": lambda n: [tuple(i % 2 for i in range(n))],
+    "bipartite_consecutive": lambda n: [(0,) * t + (1,) * (n - t)
+                                        for t in range(1, n // 2 + 1)],
+}
+SEARCH_MODES = tuple(_MODE_COLORINGS)
 
 
 def _validate_warm_start(warm: ConvexGraph, n: int, k: int, mode: str) -> ConvexGraph:
@@ -391,7 +386,9 @@ def max_edges(n: int, k: int, mode: str = "general", *,
         raise ValueError(f"search supports 2 <= n <= {MAX_SEARCH_N} (got n={n})")
     if k < 0:
         raise ValueError("k must be non-negative")
-    colorings = _mode_colorings(n, mode)
+    if mode not in _MODE_COLORINGS:
+        raise ValueError(f"unknown mode {mode!r}; choose one of {SEARCH_MODES}")
+    colorings = _MODE_COLORINGS[mode](n)
     if mode == "bipartite_alternating" and n % 2:
         raise ValueError("alternating mode needs even n")
     settings = {"n": n, "k": k, "mode": mode}

@@ -1,9 +1,11 @@
 import math
+import re
 
 import pytest
 
 from outerkplanar import (
     BIPARTITE_UPPER_VARIANTS,
+    CROSSING_LEMMA_FLAVORS,
     DEFAULT_K_MIN,
     GENERAL_UPPER_VARIANTS,
     NotApplicableError,
@@ -163,6 +165,39 @@ def test_crossing_lemma_windows():
         crossing_lemma_lower(10, 68, flavor)
     with pytest.raises(ValueError):
         crossing_lemma_lower(10, 50, "fastest")
+
+
+def test_crossing_lemma_windows_at_their_edges():
+    """At m exactly on a window's edge, with the float expressions as
+    written: 171.0 * n / 40.0 is exact at n = 40j, while a precomputed
+    171/40 (4.275) times 40j lands above 171j for these j; 6.77 * 100j falls
+    below 677j for the j in `below` and equals it for the j in `equal`."""
+    for j in (1, 5, 9, 10, 11, 17, 1000, 99999):
+        assert crossing_lemma_lower(40 * j, 171 * j) == (
+            8000.0 / 87723.0 * (171 * j)**3 / (40 * j)**2)
+        with pytest.raises(NotApplicableError,
+                           match=rf"^outer flavor requires m >= 171n/40 = {re.escape(f'{171 * j:g}')}$"):
+            crossing_lemma_lower(40 * j, 171 * j - 1)
+    for j in (1, 2, 7, 1000):
+        assert crossing_lemma_lower(4 * j, 15 * j, "outer_bipartite") == (
+            64.0 / 675.0 * (15 * j)**3 / (4 * j)**2)
+        with pytest.raises(NotApplicableError,
+                           match=rf"^outer_bipartite flavor requires m >= 3\.75n = {15 * j}$"):
+            crossing_lemma_lower(4 * j, 15 * j - 1, "outer_bipartite")
+    below, equal = (3, 6, 11, 12, 22), (1, 2, 4, 5, 7)
+    for flavor in ("multigraph_m2", "multigraph_m2_bipartite"):
+        for j in below:
+            crossing_lemma_lower(100 * j, 677 * j, flavor)
+        for j in equal:
+            with pytest.raises(NotApplicableError,
+                               match=rf"^{flavor} flavor requires m > 6\.77n = {677 * j}$"):
+                crossing_lemma_lower(100 * j, 677 * j, flavor)
+    with pytest.raises(ValueError, match=r"^unknown flavor 'fastest'$"):
+        crossing_lemma_lower(10, 50, "fastest")
+    with pytest.raises(ValueError, match=r"^need n >= 1 and m >= 0$"):
+        crossing_lemma_lower(0, 50, "fastest")
+    assert CROSSING_LEMMA_FLAVORS == (
+        "outer", "outer_bipartite", "multigraph_m2", "multigraph_m2_bipartite")
 
 
 def test_bipartite_upper_small_k():

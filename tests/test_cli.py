@@ -145,6 +145,52 @@ def test_construct():
     assert payload["error"]["code"] == "invalid-input"
 
 
+# every construct kind, its flags in the builder's argument order, a
+# valid invocation's values, and the (n, m) of the graph they build
+CONSTRUCT_KINDS = {
+    "complete": (("x",), (5,), (5, 10)),
+    "cycle": (("n",), (7,), (7, 7)),
+    "kx-chain": (("x", "blocks"), (6, 3), (14, 43)),
+    "kxx-alternating": (("x",), (4,), (8, 16)),
+    "kxx-chain": (("x", "blocks"), (3, 2), (10, 17)),
+}
+
+
+def test_construct_every_kind():
+    from outerkplanar import constructions, geometry
+
+    builders = {"complete": constructions.complete_graph,
+                "cycle": constructions.cycle_graph,
+                "kx-chain": constructions.kx_chain,
+                "kxx-alternating": constructions.kxx_alternating,
+                "kxx-chain": constructions.kxx_chain}
+    for kind, (flags, values, (n, m)) in CONSTRUCT_KINDS.items():
+        argv = [a for f, v in zip(flags, values) for a in (f"--{f}", str(v))]
+        code, text = invoke("construct", kind, *argv)
+        g = builders[kind](*values)
+        assert (g.n, g.m) == (n, m), kind
+        assert (code, text) == (0, json.dumps(geometry.to_json_dict(g), indent=2) + "\n")
+    code, payload = invoke_json("construct", "nope")
+    assert code == 2 and payload["error"]["message"] == (
+        "argument kind: invalid choice: 'nope' (choose from 'complete', 'cycle', "
+        "'kx-chain', 'kxx-alternating', 'kxx-chain')")
+
+
+def test_construct_flag_errors_for_every_kind():
+    given = {"x": "4", "n": "6", "blocks": "2"}
+    for kind, (flags, _, _) in CONSTRUCT_KINDS.items():
+        for flag in given:
+            if flag in flags:
+                argv = [a for f in flags if f != flag for a in (f"--{f}", given[f])]
+                message = f"construct {kind} requires --{flag}"
+            else:
+                argv = [a for f in (*flags, flag) for a in (f"--{f}", given[f])]
+                message = f"construct {kind} does not take --{flag}"
+            code, payload = invoke_json("construct", kind, *argv)
+            assert (code, payload) == (2, {"error": {"code": "invalid-flags",
+                                                     "message": message}}), argv
+
+
 def test_construct_verify_round_trip(tmp_path):
     code, text = invoke("construct", "complete", "--x", "5")
     assert code == 0
@@ -371,16 +417,35 @@ def test_circulant_errors():
     assert code == 6
     code, payload = invoke_json("circulant", "--n", "8", "--r", "2",
                                 "--method", "magic")
-    assert code == 2
+    assert code == 2 and payload["error"]["message"] == (
+        "argument --method: invalid choice: 'magic' "
+        "(choose from 'exact', 'mohar', 'lemma', 'lemma-refined')")
 
 
 def test_circulant_bound_methods():
-    _, lemma = invoke_json("circulant", "--n", "10", "--r", "2",
-                           "--method", "lemma")
-    assert lemma["value"] == 772.5
-    _, refined = invoke_json("circulant", "--n", "10", "--r", "2",
-                             "--method", "lemma-refined")
-    assert refined["value"] == 20.0
+    expected = {"mohar": (24.0, 15.5902), "lemma": (934.5, 772.5),
+                "lemma-refined": (36.0, 20.0)}
+    for method, values in expected.items():
+        for (n, r), value in zip(((12, 3), (10, 2)), values):
+            code, payload = invoke_json("circulant", "--n", str(n), "--r", str(r),
+                                        "--method", method)
+            assert (code, payload) == (0, {"n": n, "r": r, "method": method,
+                                           "value": value}), method
+
+
+def test_search_bipartite_choices_match_the_search_modes():
+    # the parser cannot import search without loading it on every command,
+    # so its --bipartite choices are written out; they must name every mode
+    import argparse
+
+    from outerkplanar.cli import build_parser
+    from outerkplanar.search import SEARCH_MODES
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    choices = sub.choices["search"]._option_string_actions["--bipartite"].choices
+    assert {"general", *(f"bipartite_{c}" for c in choices)} == set(SEARCH_MODES)
+    assert len(choices) + 1 == len(SEARCH_MODES)
 
 
 def test_xorsum():
@@ -564,6 +629,26 @@ def test_patched_names_are_readable_before_any_command():
     assert proc.stdout.split() == [f"outerkplanar.{module}"
                                    for module, group in PATCHED_NAMES.items()
                                    for _ in group]
+
+
+def test_private_names_on_cli_load_nothing():
+    # probes for private and dunder names (hasattr(cli, "__wrapped__") is
+    # one inspect makes) fail at once, and an unknown public name says so
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, outerkplanar.cli as cli\n"
+         "def loaded():\n"
+         "    return sorted(m for m in sys.modules if m.startswith('outerkplanar.'))\n"
+         "print(hasattr(cli, '__wrapped__'), hasattr(cli, '_nope'), loaded())\n"
+         "try:\n"
+         "    cli.no_such_name\n"
+         "except AttributeError as exc:\n"
+         "    print(exc)\n"],
+        capture_output=True, text=True, env=package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False False ['outerkplanar.cli', 'outerkplanar.errors']",
+        "module 'outerkplanar.cli' has no attribute 'no_such_name'"]
 
 
 def test_handlers_call_the_names_patched_on_cli(tmp_path, monkeypatch):

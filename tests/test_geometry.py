@@ -11,11 +11,9 @@ from outerkplanar import (
     chords_cross,
     crossing_counts,
     degeneracy_order,
-    diagonals,
     graph_from_json,
     graph_to_json,
     greedy_color,
-    hull_edges,
     is_bipartite,
     is_outer_k_planar,
     kx_chain,
@@ -126,20 +124,6 @@ def test_graph_immutable_and_hashable():
     assert g != ConvexGraph(5, [(0, 1)])
 
 
-def test_degrees_adjacency():
-    g = ConvexGraph(5, [(0, 1), (0, 2), (0, 3), (2, 3)])
-    assert g.degrees() == [3, 1, 2, 2, 0]
-    assert g.adjacency()[0] == {1, 2, 3}
-    assert g.adjacency()[4] == set()
-
-
-def test_hull_and_diagonals_partition():
-    g = ConvexGraph(6, [(0, 1), (5, 0), (1, 3), (2, 5)])
-    assert set(hull_edges(g)) == {(0, 1), (0, 5)}
-    assert set(diagonals(g)) == {(1, 3), (2, 5)}
-    assert set(hull_edges(g)) | set(diagonals(g)) == set(g.edges)
-
-
 def test_outer_k_planar_k5():
     g = ConvexGraph(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
     assert max_crossing(g) == 2
@@ -174,7 +158,7 @@ def test_degeneracy_order_is_valid_elimination():
     assert sorted(order) == list(range(g.n))
     # every vertex has at most d neighbors later in the order
     pos = {v: i for i, v in enumerate(order)}
-    adj = g.adjacency()
+    adj = g._neighbours()
     for v in order:
         assert sum(1 for u in adj[v] if pos[u] > pos[v]) <= d
 
@@ -197,6 +181,34 @@ def test_greedy_color_random(rng):
         assert greedy_color(g, order) == (colors, ncolors)
 
 
+def _greedy_color_by_sets(g, order):
+    """The plain rule: each vertex along reversed `order` takes the least
+    color not in the set of its colored neighbours' colors."""
+    colors = {}
+    for v in reversed(order):
+        taken = {colors[u] for a, b in g.edges for u in (a, b)
+                 if v in (a, b) and u != v and u in colors}
+        colors[v] = min(set(range(len(taken) + 1)) - taken)
+    return colors, 1 + max(colors.values()) if colors else 0
+
+
+def test_greedy_color_matches_the_set_rule(rng):
+    """Same colors, in the same dict order, and the same count, under the
+    degeneracy order and under shuffled orders of all or some vertices."""
+    graphs = [ConvexGraph(n, random_graph(rng, n, p=rng.random()))
+              for n in (rng.randrange(2, 40) for _ in range(40))]
+    graphs += [_sparse_graph_with_isolated_vertices(rng, rng.randrange(31, 120))
+               for _ in range(6)]
+    graphs += [kx_chain(6, 5), *_kernel_cases()]
+    for g in graphs:
+        order, _ = degeneracy_order(g)
+        shuffled = rng.sample(range(g.n), g.n)
+        for o in (order, shuffled, shuffled[: g.n // 2], []):
+            got = greedy_color(g, o)
+            want = _greedy_color_by_sets(g, o)
+            assert got == want and list(got[0].items()) == list(want[0].items()), (g, o)
+
+
 def test_bipartition():
     even = ConvexGraph(6, [(i, (i + 1) % 6) for i in range(6)])
     side = bipartition(even)
@@ -211,8 +223,11 @@ def test_bipartition():
 
 def test_adjacency_copy_does_not_reach_the_shared_neighbours():
     # crossing_counts, degeneracy_order, greedy_color and bipartition share
-    # one neighbour structure built from the graph; adjacency() hands out a
-    # fresh copy, before that structure is built and after
+    # one neighbour structure built from the graph, of tuples; a caller's
+    # set copy of it, made before those functions ran and after, is its own
+    def adjacency(g):
+        return [set(nb) for nb in g._neighbours()]
+
     def scramble(adj):
         for nb in adj:
             nb.clear()
@@ -226,11 +241,11 @@ def test_adjacency_copy_does_not_reach_the_shared_neighbours():
     chain = kx_chain(4, 3)
     for n, edges in ((6, hexagon), (chain.n, chain.edges)):
         g = ConvexGraph(n, edges)
-        scramble(g.adjacency())
+        scramble(adjacency(g))
         first = read(g)
-        scramble(g.adjacency())
+        scramble(adjacency(g))
         assert read(g) == first == read(ConvexGraph(n, edges))
-        assert g.adjacency() == [{u for e in edges for u in e if v in e and u != v}
+        assert adjacency(g) == [{u for e in edges for u in e if v in e and u != v}
                                  for v in range(n)]
     assert read(ConvexGraph(6, hexagon))[2] == (0, 1, 0, 1, 0, 1)
 
@@ -353,7 +368,7 @@ def test_degeneracy_order_matches_rescan(rng):
         assert degeneracy_order(g) == degeneracy_order_by_rescan(n, g.edges)
     for trial in range(12):
         g = _sparse_graph_with_isolated_vertices(rng, rng.randrange(31, 301))
-        assert 0 in g.degrees()
+        assert not all(g._neighbours())
         assert degeneracy_order(g) == degeneracy_order_by_rescan(g.n, g.edges)
     for g in _kernel_cases():
         assert degeneracy_order(g) == degeneracy_order_by_rescan(g.n, g.edges)

@@ -22,7 +22,7 @@ from outerkplanar.search import (
     _candidate_list,
     _canonical_colorings,
     _cross_table,
-    _mode_colorings,
+    _MODE_COLORINGS,
     _tables,
 )
 
@@ -116,7 +116,8 @@ def test_input_validation():
         max_edges(1, 1)
     with pytest.raises(ValueError):
         max_edges(6, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown mode 'fastest'; choose one of \('general', "
+                       r"'bipartite_free', 'bipartite_alternating', 'bipartite_consecutive'\)$"):
         max_edges(6, 1, "fastest")
     assert set(SEARCH_MODES) == {
         "general", "bipartite_free", "bipartite_alternating",
@@ -265,7 +266,7 @@ def test_cross_table_matches_pairwise_rule():
         for mode in SEARCH_MODES:
             if mode == "bipartite_alternating" and n % 2:
                 continue
-            for coloring in _mode_colorings(n, mode):
+            for coloring in _MODE_COLORINGS[mode](n):
                 cands = _candidate_list(n, coloring)
                 want = [sum(1 << j for j, f in enumerate(cands) if chords_cross(n, e, f))
                         for e in cands]
