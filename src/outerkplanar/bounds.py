@@ -24,7 +24,6 @@ The bipartite small-k constant deserves a note: the derivation yields
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import NotApplicableError
@@ -81,8 +80,7 @@ def epsilon_for(k) -> float:
     return num / den
 
 
-@dataclass(frozen=True)
-class LowerBoundValue:
+class LowerBoundValue(NamedTuple):
     """A constructive (or asymptotic) lower bound.
 
     ``exact`` is True when the value is the exact edge count of a
@@ -310,9 +308,13 @@ class _Bound(NamedTuple):
 
     def at(self, n: int, k: int, k_min: int, stated: bool = False) -> tuple[float | None, str]:
         """The row's value and ``valid`` flag at (n, k), as reported."""
+        low = self.k_low(k_min)
+        # evaluate's window test, without raising at every cell outside it
+        if n < self.n_from or k < low or (self.k_to is not None and k > self.k_to):
+            return None, "no"
         try:
-            value = self.evaluate(n, k, self.k_low(k_min), stated)
-        except NotApplicableError:
+            value = self.evaluate(n, k, low, stated)
+        except NotApplicableError:  # a lower row's construction narrowed the window
             return None, "no"
         return value, "conditional" if k in self.conditional_k else self.status
 
@@ -410,8 +412,7 @@ def bipartite_upper(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(NamedTuple):
     """One bound evaluation.
 
     ``valid`` is "yes", "no", "conditional" (value shown but resting on a
@@ -428,8 +429,7 @@ class BoundEntry:
     source: str
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     n: int
     k: int
     family: str  # "general" or "bipartite"

@@ -40,8 +40,7 @@ j = 1..n//2, so no CLI subcommand imports numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BudgetExceededError
 
@@ -71,21 +70,21 @@ MAXCUT_WORK_BUDGET = 1 << 22
 MERCER_C0 = -0.4344
 
 
-@dataclass(frozen=True)
-class CirculantSpec:
+# a subclass, because NamedTuple forbids overriding __new__ in the class body
+class CirculantSpec(NamedTuple("CirculantSpec", [("n", int), ("r", int)])):
     """Parameters of C_n^{1..r}; requires 1 <= r and 2r < n."""
 
-    n: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        n, r = int(self.n), int(self.r)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", r)
+    def __new__(cls, n: int, r: int):
+        n, r = int(n), int(r)
         if r < 1:
             raise ValueError("r must be at least 1")
         if 2 * r >= n:
             raise ValueError(f"need 2r < n (got n={n}, r={r})")
+        return super().__new__(cls, n, r)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace calls it: keep the checks
 
     @property
     def edge_count(self) -> int:
@@ -225,8 +224,7 @@ def cut_value(spec: CirculantSpec, sides) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class Cut:
+class Cut(NamedTuple):
     """A side assignment and its cut value."""
 
     sides: tuple[int, ...]

@@ -35,8 +35,8 @@ number of hull edges present.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .geometry import (
     ConvexGraph,
@@ -189,8 +189,7 @@ def kxx_chain(x: int, blocks: int) -> ConvexGraph:
     return ConvexGraph(n, edges, coloring=[i % 2 for i in range(n)])
 
 
-@dataclass(frozen=True)
-class OuterCopyGraph:
+class OuterCopyGraph(NamedTuple):
     """Two-page multigraph: base edges inside the hull, diagonal copies outside.
 
     ``inside_edges`` is every edge of the base graph; ``outside_edges``

@@ -176,6 +176,9 @@ class ConvexGraph:
     def __hash__(self):
         return hash((self.n, self.edges, self.coloring))
 
+    def __reduce__(self):  # through __init__: unpickling slots by setattr would raise
+        return ConvexGraph, (self.n, self.edges, self.coloring)
+
     def __repr__(self):
         extra = ", colored" if self.coloring is not None else ""
         return f"ConvexGraph(n={self.n}, m={self.m}{extra})"

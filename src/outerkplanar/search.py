@@ -40,8 +40,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .bounds import _BOUNDS, DEFAULT_K_MIN
 from .errors import BudgetExceededError
@@ -65,8 +65,7 @@ __all__ = [
 MAX_SEARCH_N = 12
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     max_edges: int
     witness: ConvexGraph
     nodes_explored: int

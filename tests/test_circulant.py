@@ -28,10 +28,17 @@ from outerkplanar import (
 def test_spec_validation():
     spec = CirculantSpec(9, 2)
     assert spec.edge_count == 18
-    with pytest.raises(ValueError):
+    assert hash(CirculantSpec(20, 3)) == hash((20, 3))
+    coerced = CirculantSpec(20.0, 3)
+    assert type(coerced.n) is int and coerced.n == 20
+    with pytest.raises(ValueError, match=r"^r must be at least 1$"):
         CirculantSpec(9, 0)
-    with pytest.raises(ValueError):
-        CirculantSpec(8, 4)  # needs 2r < n
+    with pytest.raises(ValueError, match=r"^need 2r < n \(got n=8, r=4\)$"):
+        CirculantSpec(8, 4)
+    # _replace goes through the same checks
+    with pytest.raises(ValueError, match=r"^r must be at least 1$"):
+        spec._replace(r=0)
+    assert spec._replace(n=30.0) == CirculantSpec(30, 2)
 
 
 def test_dirichlet_sum_form():

@@ -606,6 +606,37 @@ def test_numpy_stays_off_the_import_path(tmp_path):
             "run": [0, *modules]}, argv
 
 
+# dataclasses pulls in inspect, ast, dis and tokenize: about 10 ms of CPU in
+# a fresh process, which a one-shot CLI call pays in full
+HEAVY_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import outerkplanar.cli
+sys.argv[1:] = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = outerkplanar.cli.main()
+print(json.dumps([code, *(m for m in ("dataclasses", "inspect") if m in sys.modules)]))
+"""
+
+
+def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path):
+    graph = tmp_path / "k5.json"
+    graph.write_text(invoke("construct", "complete", "--x", "5")[1])
+    for argv in (
+        ["bounds", "--n", "10", "--k", "2"],
+        ["sweep", "--n-from", "6", "--n-to", "8", "--k-from", "0", "--k-to", "2"],
+        ["construct", "kx-chain", "--x", "6", "--blocks", "2"],
+        ["verify", str(graph), "--k", "2"],
+        ["search", "--n", "6", "--k", "1"],
+        ["xorsum", "--bits", "0110101", "--r", "2"],
+        *(["circulant", "--n", "12", "--r", "2", "--method", method]
+          for method in ("exact", "lemma-refined", "mohar")),
+    ):
+        proc = subprocess.run([sys.executable, "-c", HEAVY_IMPORT_PROBE, json.dumps(argv)],
+                              capture_output=True, text=True, env=package_env())
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0], argv
+
+
 # every name bench/run.py::install_patches wraps in the CLI's namespace, by
 # the module that defines it
 PATCHED_NAMES = {
