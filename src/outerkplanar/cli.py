@@ -127,6 +127,8 @@ def _load_graph(path: str):
                 text = fh.read()
     except OSError as exc:
         raise CliError("invalid-input", f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError("malformed-json", f"malformed JSON: {exc}") from exc
     try:
         return graph_from_json(text)
     except ValueError as exc:

@@ -81,62 +81,48 @@ def _check_hull_edge(g: ConvexGraph, edge, which: str) -> tuple[int, int]:
     return e
 
 
-def _merge_colorings(g1, a, b, g2, p, q, map1, map2, n):
-    """Union coloring when both inputs are colored compatibly, else None.
-
-    The second coloring may be flipped globally; the identified endpoints
-    (a=p and b=q after relabeling) must agree.
-    """
-    if g1.coloring is None or g2.coloring is None:
-        return None
-    for flip in (0, 1):
-        c2 = [c ^ flip for c in g2.coloring]
-        if c2[p] == g1.coloring[a] and c2[q] == g1.coloring[b]:
-            merged = [0] * n
-            for v in range(g1.n):
-                merged[map1[v]] = g1.coloring[v]
-            for v in range(g2.n):
-                merged[map2[v]] = c2[v]
-            return merged
-    return None
-
-
 def concatenate(g1: ConvexGraph, e1, g2: ConvexGraph, e2) -> ConvexGraph:
     """Glue g2 onto g1 by identifying hull edge e2 of g2 with e1 of g1.
 
     The result has g1.n + g2.n - 2 vertices and m1 + m2 - 1 edges (the
     identified edge is kept once).  Crossing counts of all surviving edges
     are unchanged; in particular the maximum crossing count of the result
-    is the larger of the two inputs' maxima.
+    is the larger of the two inputs' maxima.  If both inputs are colored
+    and g2's coloring, possibly flipped, agrees with g1's on the identified
+    endpoints, the result carries the union coloring; otherwise none.
     """
     a, b = _check_hull_edge(g1, e1, "e1")
     p, q = _check_hull_edge(g2, e2, "e2")
     n1, n2 = g1.n, g2.n
-    n = n1 + n2 - 2
 
-    # Walk g2's boundary from p to q on the side avoiding the edge (p, q);
-    # these interior vertices are the ones inserted into g1's hull gap.
-    if (p, q) == (0, n2 - 1):
-        interior = list(range(1, n2 - 1))
-    else:  # hull adjacency means q == p + 1 here
-        interior = [(p - t) % n2 for t in range(1, n2 - 1)]
+    # Walk g2's other vertices from p to q on the side avoiding the edge
+    # (p, q), and give them the labels of g1's gap between a and b.
+    step = 1 if (p, q) == (0, n2 - 1) else -1
+    interior = [(p + step * t) % n2 for t in range(1, n2 - 1)]
+    if (a, b) == (0, n1 - 1):  # the wrap gap: g1 keeps its labels
+        map1 = list(range(n1))
+        interior.reverse()
+        first = n1
+    else:  # b == a + 1: g1's vertices above a move up past the walk
+        map1 = [v if v <= a else v + n2 - 2 for v in range(n1)]
+        first = a + 1
+    map2 = [0] * n2
+    map2[p], map2[q] = map1[a], map1[b]
+    for label, v in enumerate(interior, first):
+        map2[v] = label
 
-    if (a, b) == (0, n1 - 1):
-        # Insert between n1-1 and 0 (the wrap gap), walking from q back to p.
-        map1 = {v: v for v in range(n1)}
-        map2 = {p: 0, q: n1 - 1}
-        for i, v in enumerate(reversed(interior)):
-            map2[v] = n1 + i
-    else:  # b == a + 1, insert between a and b
-        map1 = {v: v if v <= a else v + n2 - 2 for v in range(n1)}
-        map2 = {p: map1[a], q: map1[b]}
-        for i, v in enumerate(interior):
-            map2[v] = a + 1 + i
-
-    edges = {tuple(sorted((map1[u], map1[v]))) for u, v in g1.edges}
-    edges |= {tuple(sorted((map2[u], map2[v]))) for u, v in g2.edges}
-    coloring = _merge_colorings(g1, a, b, g2, p, q, map1, map2, n)
-    return ConvexGraph(n, edges, coloring)
+    edges = [(map1[u], map1[v]) for u, v in g1.edges]
+    edges += [(map2[u], map2[v]) for u, v in g2.edges]
+    coloring = None
+    if g1.coloring is not None and g2.coloring is not None:
+        flip = g2.coloring[p] ^ g1.coloring[a]
+        if g2.coloring[q] ^ flip == g1.coloring[b]:
+            coloring = [0] * (n1 + n2 - 2)
+            for v, c in enumerate(g1.coloring):
+                coloring[map1[v]] = c
+            for v, c in enumerate(g2.coloring):
+                coloring[map2[v]] = c ^ flip
+    return ConvexGraph(n1 + n2 - 2, edges, coloring)
 
 
 def _chain_blocks(s: int, blocks: int) -> tuple[int, list[list[int]]]:

@@ -391,6 +391,6 @@ def graph_to_json(g: ConvexGraph) -> str:
 def graph_from_json(text: str) -> ConvexGraph:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"malformed JSON: {exc}") from None
     return from_json_dict(doc)

@@ -339,6 +339,22 @@ _MODE_COLORINGS = {
 SEARCH_MODES = tuple(_MODE_COLORINGS)
 
 
+# mode -> (the colorings a warm start may take, in the order tried; the
+# error when none is proper).  A consecutive warm start may take any
+# rotation of a two-arc coloring: the anchored search reaches the same
+# maximum, so its edge count is a valid seed.
+_WARM_COLORINGS = {
+    "bipartite_alternating": (lambda warm: _MODE_COLORINGS["bipartite_alternating"](warm.n),
+                              "warm start has an edge inside a parity class"),
+    "bipartite_consecutive": (lambda warm: (tuple(0 if (i - s) % warm.n < t else 1
+                                                  for i in range(warm.n))
+                                            for t in range(1, warm.n) for s in range(warm.n)),
+                              "warm start fits no consecutive two-coloring"),
+    "bipartite_free": (lambda warm: (warm.coloring, bipartition(warm)),
+                       "warm start is not bipartite"),
+}
+
+
 def _validate_warm_start(warm: ConvexGraph, n: int, k: int, mode: str) -> ConvexGraph:
     if warm.n != n:
         raise ValueError(f"warm start has n={warm.n}, search wants n={n}")
@@ -346,25 +362,11 @@ def _validate_warm_start(warm: ConvexGraph, n: int, k: int, mode: str) -> Convex
         raise ValueError("warm start is not outer k-planar for this k")
     if mode == "general":
         return warm
-    if mode == "bipartite_alternating":
-        if any((a + b) % 2 == 0 for a, b in warm.edges):
-            raise ValueError("warm start has an edge inside a parity class")
-        return warm.with_coloring([i % 2 for i in range(n)])
-    if mode == "bipartite_consecutive":
-        # Accept any rotation of a two-arc coloring: the anchored search
-        # reaches the same maximum, so the edge count is a valid seed.
-        for t in range(1, n):
-            for s in range(n):
-                coloring = tuple(0 if (i - s) % n < t else 1 for i in range(n))
-                if all(coloring[a] != coloring[b] for a, b in warm.edges):
-                    return warm.with_coloring(coloring)
-        raise ValueError("warm start fits no consecutive two-coloring")
-    if warm.coloring and all(warm.coloring[a] != warm.coloring[b] for a, b in warm.edges):
-        return warm
-    side = bipartition(warm)
-    if side is None:
-        raise ValueError("warm start is not bipartite")
-    return warm.with_coloring(side)
+    colorings, message = _WARM_COLORINGS[mode]
+    for coloring in colorings(warm):
+        if coloring and all(coloring[a] != coloring[b] for a, b in warm.edges):
+            return warm.with_coloring(coloring)
+    raise ValueError(message)
 
 
 def max_edges(n: int, k: int, mode: str = "general", *,

@@ -6,6 +6,7 @@ import pytest
 from outerkplanar import (
     BIPARTITE_UPPER_VARIANTS,
     CROSSING_LEMMA_FLAVORS,
+    BudgetExceededError,
     DEFAULT_K_MIN,
     GENERAL_UPPER_VARIANTS,
     NotApplicableError,
@@ -17,6 +18,7 @@ from outerkplanar import (
     general_lower,
     general_lower_closed_form,
     general_upper,
+    max_edges,
     maxmindeg_bound,
 )
 
@@ -310,3 +312,40 @@ def test_evaluators_agree_with_report():
                                 upper(n, k, e.name, k_min=k_min)
                         else:
                             assert upper(n, k, e.name, k_min=k_min) == e.value, where
+
+
+# The rows a proven optimum is known to contradict, each with the status
+# that keeps it out of the consistency claims: (family, name) -> (status,
+# the cells (n, k) it is allowed to contradict).
+_KNOWN_CONTRADICTIONS = {
+    ("general", "chain_closed_form"): ("reference", lambda n, k: True),
+    ("general", "small_k"): ("conditional", lambda n, k: (n, k) == (6, 3)),
+    ("bipartite", "consecutive"): ("reference", lambda n, k: n == 3 and k >= 2),
+}
+
+
+def test_proven_optima_audit_the_bound_table():
+    """No upper row sits below, and no lower row above, a proven optimum,
+    except the rows named above, which must contradict every proven cell
+    they are named for and keep their status."""
+    proved = 0
+    for mode, bipartite in (("general", False), ("bipartite_free", True)):
+        for n in range(3, 11):
+            for k in range(7):
+                try:
+                    opt = max_edges(n, k, mode, node_budget=100_000).max_edges
+                except BudgetExceededError:
+                    continue
+                proved += 1
+                report = bound_report(n, k, bipartite=bipartite)
+                for e in report.entries:
+                    if e.value is None:
+                        continue
+                    cell = (report.family, e.name, n, k, e.value, opt)
+                    status, named = _KNOWN_CONTRADICTIONS.get(
+                        (report.family, e.name), (None, lambda n, k: False))
+                    wrong = e.value < opt if e.kind == "upper" else e.value > opt
+                    assert wrong == named(n, k), cell
+                    if wrong:
+                        assert e.valid == status, cell
+    assert proved >= 100

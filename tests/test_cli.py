@@ -249,6 +249,16 @@ def test_verify_bad_inputs(tmp_path):
     code, payload = invoke_json("verify", str(schema))
     assert code == 3
 
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b'\xff\xfe{"n": 3}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    for argv in (["verify", str(undecodable)], ["verify", str(deep)],
+                 ["search", "--n", "3", "--k", "0", "--warm-start", str(undecodable)]):
+        code, payload = invoke_json(*argv)
+        assert code == 3 and payload["error"]["code"] == "malformed-json", argv
+        assert payload["error"]["message"].startswith("malformed JSON: "), argv
+
 
 def test_loader_rejects_non_integer_values(tmp_path):
     for name, text in (("float", '{"n": 5, "edges": [[0, 1.7]]}'),

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import pytest
 
@@ -78,6 +80,87 @@ def test_concatenate_preserves_crossing_profile():
     after = crossing_counts(glued)
     for (a, b), c in before.items():
         assert after[(relabel(a), relabel(b))] == c, (a, b)
+
+
+def _hull_edges(g):
+    return [e for e in g.sorted_edges() if e[1] - e[0] in (1, g.n - 1)]
+
+
+def _concatenate_battery():
+    """Every (graph, hull edge) pair of a few small graphs, each uncolored
+    and under three colorings, glued onto every other, e1 both ways round."""
+    graphs = (
+        ConvexGraph(2, [(0, 1)]),
+        complete_graph(3),
+        ConvexGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]),
+        kxx_alternating(2),
+        ConvexGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 3), (1, 4)]),
+        complete_graph(5),
+        kx_chain(4, 2),
+    )
+    inputs = [(g.with_coloring(c), _hull_edges(g))
+              for g in graphs
+              for c in (None, [i % 2 for i in range(g.n)],
+                        [int(2 * i >= g.n) for i in range(g.n)], [0] * g.n)]
+    for g1, hull1 in inputs:
+        for a, b in hull1:
+            for e1 in ((a, b), (b, a)):
+                for g2, hull2 in inputs:
+                    for e2 in hull2:
+                        yield concatenate(g1, e1, g2, e2)
+
+
+def test_concatenate_labels_and_coloring_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for g in _concatenate_battery():
+        digest.update(f"{g.n} {g.sorted_edges()} {g.coloring}\n".encode())
+        count += 1
+    assert count == 23_328
+    assert digest.hexdigest() == (
+        "c9a73b5acd56741d4bdc82f5c7242f08834ab50515ac01a9aca99d38c471f11b")
+
+
+def _random_glue_input(rng, bipartite):
+    """A random graph with the hull edge (0, 1), properly colored if bipartite."""
+    n = rng.randint(2, 8)
+    side = [0, 1] + [rng.randint(0, 1) for _ in range(n - 2)]
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < 0.5 and not (bipartite and side[u] == side[v])]
+    return ConvexGraph(n, edges + [(0, 1)], side if bipartite else None)
+
+
+def test_concatenate_properties_on_random_inputs():
+    """Sizes add up, each input edge keeps its crossing count under the
+    relabeling, and proper colorings glue to a proper coloring.  The
+    relabeling is read off the layout: g2's other vertices fill g1's gap
+    (after the top vertex for the wrap edge (0, n1-1), else after a),
+    walked from the vertex identified with a, and g1's vertices keep
+    their order around the rest."""
+    rng = random.Random(18)
+    for trial in range(300):
+        bipartite = trial % 2 == 1
+        g1, g2 = (_random_glue_input(rng, bipartite) for _ in range(2))
+        (a, b), (p, q) = rng.choice(_hull_edges(g1)), rng.choice(_hull_edges(g2))
+        g = concatenate(g1, rng.choice(((a, b), (b, a))), g2, (p, q))
+        n = g1.n + g2.n - 2
+        assert (g.n, g.m) == (n, g1.m + g2.m - 1)
+
+        wrap = (a, b) == (0, g1.n - 1)
+        gap = list(range(g1.n, n))[::-1] if wrap else list(range(a + 1, a + g2.n - 1))
+        map1 = [v for v in range(n) if v not in gap]
+        step = 1 if (p, q) == (0, g2.n - 1) else -1
+        map2 = {p: map1[a], q: map1[b]}
+        map2.update({(p + step * t) % g2.n: label for t, label in enumerate(gap, 1)})
+
+        counts = crossing_counts(g)
+        for src, relabel in ((g1, map1), (g2, map2)):
+            for (u, v), c in crossing_counts(src).items():
+                e = tuple(sorted((relabel[u], relabel[v])))
+                assert counts[e] == c, (trial, src, (u, v))
+        if bipartite:
+            assert g.coloring is not None
+            assert all(g.coloring[u] != g.coloring[v] for u, v in g.edges), trial
 
 
 def test_concatenate_rejects_bad_edges():

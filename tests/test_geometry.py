@@ -264,6 +264,8 @@ def test_json_round_trip():
 def test_json_rejects_garbage():
     with pytest.raises(ValueError, match="malformed JSON"):
         graph_from_json("{not json")
+    with pytest.raises(ValueError, match="malformed JSON"):
+        graph_from_json("[" * 200_000)  # deeper than the decoder recurses
     with pytest.raises(ValueError):
         graph_from_json(json.dumps({"n": 4, "edges": [[0, 1]], "extra": 1}))
     with pytest.raises(ValueError):
