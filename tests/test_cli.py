@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import outerkplanar
-from outerkplanar.cli import ENV_NODE_BUDGET, run
+from outerkplanar.cli import _EXIT_CODES, ENV_NODE_BUDGET, run
 
 
 def invoke(*argv):
@@ -501,6 +501,86 @@ def test_sweep_bad_grid():
     code, _ = invoke_json("sweep", "--n-from", "10", "--n-to", "12",
                           "--k-from", "0", "--k-to", "1", "--n-step", "0")
     assert code == 2
+
+
+# Failing invocations whose records are pinned: they cover every subcommand,
+# the parser itself and every error code, including a budget cut-off that
+# carries a partial result and one that does not.  The
+# files are named relative to the working directory, so no message holds a
+# temporary path.  Argparse's "invalid choice" wording differs between
+# Python versions, so no case here depends on it.
+FAILURE_BATTERY = (
+    (["bounds", "--n", "100", "--k", "1", "--variant", "common"], "not-applicable"),
+    (["bounds", "--n", "1000", "--k", "5", "--variant", "direct"], "not-applicable"),
+    (["bounds", "--n", "10", "--k", "3", "--bipartite", "--variant", "common"],
+     "not-applicable"),
+    (["bounds", "--n", "100", "--k", "1", "--variant", "newest"], "invalid-flags"),
+    (["bounds", "--n", "10", "--k", "0", "--bipartite", "--variant", "newest"],
+     "invalid-flags"),
+    (["bounds", "--n", "100", "--k", "1", "--precision", "0"], "invalid-flags"),
+    (["bounds", "--n", "1", "--k", "1"], "invalid-flags"),
+    (["bounds", "--n", "10", "--k", "-1"], "invalid-flags"),
+    (["bounds", "--k", "1"], "invalid-flags"),
+    (["bounds", "--n", "x", "--k", "1"], "invalid-flags"),
+    (["construct", "complete"], "invalid-flags"),
+    (["construct", "complete", "--x", "3", "--n", "4"], "invalid-flags"),
+    (["construct", "cycle", "--n", "2"], "invalid-input"),
+    (["construct", "kx-chain", "--x", "1", "--blocks", "2"], "invalid-input"),
+    (["verify", "bad.json"], "malformed-json"),
+    (["verify", "schema.json"], "malformed-json"),
+    (["verify", "undecodable.json"], "malformed-json"),
+    (["verify", "missing.json"], "invalid-input"),
+    (["verify", "k5.json", "--k", "-1"], "invalid-flags"),
+    (["search", "--n", "13", "--k", "1"], "invalid-input"),
+    (["search", "--n", "3", "--k", "-1"], "invalid-input"),
+    (["search", "--n", "5", "--k", "1", "--bipartite", "alternating"], "invalid-input"),
+    (["search", "--n", "6", "--k", "1", "--warm-start", "k5.json"], "invalid-input"),
+    (["search", "--n", "5", "--k", "0", "--warm-start", "k5.json"], "invalid-input"),
+    (["search", "--n", "5", "--k", "2", "--bipartite", "free", "--warm-start", "k5.json"],
+     "invalid-input"),
+    (["search", "--n", "5", "--k", "2", "--warm-start", "bad.json"], "malformed-json"),
+    (["search", "--n", "5", "--k", "2", "--warm-start", "missing.json"], "invalid-input"),
+    (["search", "--n", "8", "--k", "2", "--budget-nodes", "-1"], "invalid-flags"),
+    (["search", "--n", "8", "--k", "2", "--budget-nodes", "20"], "budget-exceeded"),
+    (["search", "--n", "8", "--k", "2", "--bipartite", "free", "--budget-nodes", "5"],
+     "budget-exceeded"),
+    (["circulant", "--n", "257", "--r", "7", "--method", "exact"], "budget-exceeded"),
+    (["circulant", "--n", "8", "--r", "0", "--method", "exact"], "invalid-input"),
+    (["circulant", "--n", "8", "--r", "4", "--method", "lemma"], "invalid-input"),
+    (["circulant", "--n", "5", "--r", "1", "--method", "mohar", "--precision", "0"],
+     "invalid-flags"),
+    (["xorsum", "--bits", "012", "--r", "1"], "invalid-input"),
+    (["xorsum", "--bits", "0101", "--r", "0"], "invalid-flags"),
+    (["sweep", "--n-from", "10", "--n-to", "5", "--k-from", "0", "--k-to", "1"],
+     "invalid-flags"),
+    (["sweep", "--n-from", "1", "--n-to", "5", "--k-from", "0", "--k-to", "1"],
+     "invalid-flags"),
+    (["sweep", "--n-from", "5", "--n-to", "6", "--k-from", "-1", "--k-to", "1"],
+     "invalid-flags"),
+    (["sweep", "--n-from", "5", "--n-to", "6", "--k-from", "0", "--k-to", "1",
+      "--k-step", "0"], "invalid-flags"),
+    ([], "invalid-flags"),
+)
+
+# sha256 over json.dumps of every (argv, exit code, stdout) in the battery
+FAILURE_BATTERY_DIGEST = "fa1325c3567567e27460326b9b50ea54b903887f90f7ae975ebb230ebfb3f6b9"
+
+
+def test_failure_records_frozen(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(ENV_NODE_BUDGET, raising=False)
+    Path("bad.json").write_text("{not json")
+    Path("schema.json").write_text('{"n": 4, "edges": [[0, 9]]}')
+    Path("undecodable.json").write_bytes(b'\xff\xfe{"n": 3}')
+    Path("k5.json").write_text(invoke("construct", "complete", "--x", "5")[1])
+    seen = []
+    for argv, name in FAILURE_BATTERY:
+        code, text = invoke(*argv)
+        assert (code, json.loads(text)["error"]["code"]) == (_EXIT_CODES[name], name), argv
+        seen.append([argv, code, text])
+    assert set(_EXIT_CODES) == {name for _, name in FAILURE_BATTERY}
+    digest = hashlib.sha256(json.dumps(seen).encode()).hexdigest()
+    assert digest == FAILURE_BATTERY_DIGEST
 
 
 BOUNDS_ARGV = ["bounds", "--n", "100", "--k", "1", "--variant", "small_k"]
