@@ -45,6 +45,15 @@ _EXIT_CODES = {
     "invalid-input": 6,
 }
 
+# library exception -> error code, for every refusal a handler lets pass;
+# the first match wins, so NotApplicableError (a ValueError) comes first
+_LIBRARY_ERRORS = {
+    NotApplicableError: "not-applicable",
+    BudgetExceededError: "budget-exceeded",
+    ValueError: "invalid-input",
+    OverflowError: "invalid-input",
+}
+
 
 # The modules whose public names the handlers call.  A handler loads its
 # modules with _load on first use, which binds each module's __all__ into
@@ -72,22 +81,11 @@ def __getattr__(name):
 
 
 class CliError(Exception):
-    """A failure with a machine-readable code and optional extra payload."""
+    """A failure with a machine-readable code; its message is str(err)."""
 
-    def __init__(self, code: str, message: str, extra: dict | None = None):
+    def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
-        self.message = message
-        self.extra = extra or {}
-
-    @property
-    def exit_code(self) -> int:
-        return _EXIT_CODES[self.code]
-
-    def record(self) -> dict:
-        rec = {"error": {"code": self.code, "message": self.message}}
-        rec.update(self.extra)
-        return rec
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,8 +95,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _check_precision(args) -> None:
+    # from 767 digits up every double prints the same bytes; far above that
+    # format() runs out of memory or refuses the format string
     if args.precision < 1:
         raise CliError("invalid-flags", "--precision must be at least 1")
+    if args.precision > 1000:
+        raise CliError("invalid-flags", "--precision must be at most 1000")
 
 
 def _num(value, precision: int):
@@ -166,7 +168,11 @@ def _csv(header, rows) -> str:
 
 
 def _k_min(args) -> int:
-    return DEFAULT_K_MIN if args.k_threshold is None else args.k_threshold
+    if args.k_threshold is None:
+        return DEFAULT_K_MIN
+    if args.k_threshold < 0:
+        raise CliError("invalid-flags", "--k-threshold must be non-negative")
+    return args.k_threshold
 
 
 def _cmd_bounds(args) -> str:
@@ -185,10 +191,7 @@ def _cmd_bounds(args) -> str:
                 f"unknown {family} variant {args.variant!r}; choose from {sorted(table)}",
             )
         upper = bipartite_upper if args.bipartite else general_upper
-        try:
-            value = upper(args.n, args.k, args.variant, k_min=_k_min(args))
-        except NotApplicableError as exc:
-            raise CliError("not-applicable", str(exc)) from exc
+        value = upper(args.n, args.k, args.variant, k_min=_k_min(args))
         return _fmt(value, args.precision) + "\n"
     report = bound_report(args.n, args.k, bipartite=args.bipartite,
                           k_min=_k_min(args))
@@ -223,10 +226,7 @@ def _cmd_construct(args) -> str:
         if not have and flag in wanted:
             raise CliError("invalid-flags",
                            f"construct {args.kind} requires --{flag}")
-    try:
-        g = globals()[builder](*(getattr(args, flag) for flag in wanted))
-    except ValueError as exc:
-        raise CliError("invalid-input", str(exc)) from exc
+    g = globals()[builder](*(getattr(args, flag) for flag in wanted))
     return _dump(to_json_dict(g))
 
 
@@ -300,16 +300,7 @@ def _cmd_search(args) -> str:
     mode = "general" if args.bipartite is None else f"bipartite_{args.bipartite}"
     warm = _load_graph(args.warm_start) if args.warm_start else None
     budget = _node_budget(args)
-    try:
-        result = max_edges(args.n, args.k, mode,
-                           node_budget=budget, warm_start=warm)
-    except BudgetExceededError as exc:
-        extra = {}
-        if exc.result is not None:
-            extra["result"] = _search_payload(exc.result)
-        raise CliError("budget-exceeded", str(exc), extra) from exc
-    except ValueError as exc:
-        raise CliError("invalid-input", str(exc)) from exc
+    result = max_edges(args.n, args.k, mode, node_budget=budget, warm_start=warm)
     return _dump(_search_payload(result))
 
 
@@ -328,16 +319,10 @@ def _cmd_circulant(args) -> str:
     from . import circulant as circ
 
     _check_precision(args)
-    try:
-        spec = circ.CirculantSpec(args.n, args.r)
-    except ValueError as exc:
-        raise CliError("invalid-input", str(exc)) from exc
+    spec = circ.CirculantSpec(args.n, args.r)
     payload = {"n": args.n, "r": args.r, "method": args.method}
     if args.method == "exact":
-        try:
-            cut = circ.exact_maxcut(spec)
-        except BudgetExceededError as exc:
-            raise CliError("budget-exceeded", str(exc)) from exc
+        cut = circ.exact_maxcut(spec)
         payload["value"] = cut.value
         payload["sides"] = list(cut.sides)
     else:
@@ -497,9 +482,14 @@ def run(argv=None, out=None) -> int:
     try:
         args = _parser().parse_args(argv)
         text = args.func(args)
-    except CliError as err:
-        stream.write(_dump(err.record()))
-        return err.exit_code
+    except (CliError, *_LIBRARY_ERRORS) as exc:
+        code = exc.code if isinstance(exc, CliError) else next(
+            c for kind, c in _LIBRARY_ERRORS.items() if isinstance(exc, kind))
+        record = {"error": {"code": code, "message": str(exc)}}
+        if getattr(exc, "result", None) is not None:  # a search cut off by its budget
+            record["result"] = _search_payload(exc.result)
+        stream.write(_dump(record))
+        return _EXIT_CODES[code]
     except SystemExit as exc:  # argparse --help
         code = exc.code
         return code if isinstance(code, int) else 0

@@ -101,6 +101,10 @@ def _static_upper(n: int, k: int, bipartite: bool) -> int:
     their weaker stated form (``strict_statement``), which keeps pruning
     sound under either bipartite small-k constant.
     """
+    if k > (n - 2) ** 2 // 4:
+        # a chord with s points on one side is crossed at most s(n-2-s) times,
+        # so every graph qualifies; the float rows might overflow at this k
+        return math.comb(n, 2)
     vals = [float(math.comb(n, 2))]
     for row in _BOUNDS:
         if row.kind == "upper" and (bipartite or row.family == "general"):

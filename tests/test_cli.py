@@ -6,6 +6,7 @@ import random
 import shutil
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -582,6 +583,49 @@ def test_failure_records_frozen(tmp_path, monkeypatch):
     digest = hashlib.sha256(json.dumps(seen).encode()).hexdigest()
     assert digest == FAILURE_BATTERY_DIGEST
 
+
+def test_hostile_numbers_give_records():
+    # Only calls whose work does not grow with the value: circulant --method
+    # mohar loops n/2 times, and construct, or sweep over a wide grid,
+    # allocates in proportion to the sizes asked for.
+    huge = str(10**400)  # an integer too large for a float
+    for argv in (
+        ["bounds", "--n", "10", "--k", huge],
+        ["bounds", "--n", "10", "--k", huge, "--format", "csv"],
+        ["bounds", "--n", "10", "--k", huge, "--variant", "small_k"],
+        ["bounds", "--n", huge, "--k", "0"],
+        ["bounds", "--n", huge, "--k", "0", "--bipartite"],
+        ["bounds", "--n", huge, "--k", "3", "--variant", "small_k"],
+        ["sweep", "--n-from", "10", "--n-to", "10", "--k-from", huge, "--k-to", huge],
+        ["sweep", "--n-from", huge, "--n-to", huge, "--k-from", "0", "--k-to", "0"],
+        ["circulant", "--n", huge, "--r", "1", "--method", "lemma"],
+        ["circulant", "--n", huge, "--r", "1", "--method", "lemma-refined"],
+        ["circulant", "--n", "10", "--r", huge, "--method", "lemma"],
+    ):
+        code, payload = invoke_json(*argv)
+        assert code == _EXIT_CODES[payload["error"]["code"]], argv
+    for argv, message in (
+        (["bounds", "--n", "10", "--k", "5", "--precision", "1001"],
+         "--precision must be at most 1000"),
+        (["bounds", "--n", "10", "--k", "5", "--precision", str(10**10)],
+         "--precision must be at most 1000"),
+        (["circulant", "--n", "5", "--r", "1", "--method", "lemma",
+          "--precision", str(2**31 - 1)], "--precision must be at most 1000"),
+        (["sweep", "--n-from", "5", "--n-to", "6", "--k-from", "0", "--k-to", "1",
+          "--precision", str(10**20)], "--precision must be at most 1000"),
+        (["bounds", "--n", "10", "--k", "0", "--bipartite", "--k-threshold", "-5"],
+         "--k-threshold must be non-negative"),
+        (["sweep", "--n-from", "5", "--n-to", "6", "--k-from", "0", "--k-to", "1",
+          "--k-threshold", "-1"], "--k-threshold must be non-negative"),
+    ):
+        assert invoke_json(*argv) == (2, {"error": {"code": "invalid-flags",
+                                                     "message": message}}), argv
+    code, payload = invoke_json("search", "--n", "3", "--k", huge)
+    assert (code, payload["max_edges"], payload["proven_optimal"]) == (0, 3, True)
+    # the largest precision still prints a double's exact decimal expansion
+    code, text = invoke("bounds", "--n", "10", "--k", "5", "--variant", "local",
+                        "--precision", "1000")
+    assert code == 0 and Decimal(text.strip()) == Decimal(float(text)) > 0
 
 BOUNDS_ARGV = ["bounds", "--n", "100", "--k", "1", "--variant", "small_k"]
 

@@ -124,6 +124,19 @@ def test_input_validation():
         "bipartite_consecutive"}
 
 
+@pytest.mark.parametrize("mode", SEARCH_MODES)
+def test_k_too_large_for_a_float(mode):
+    # above floor((n-2)^2/4) no chord can be crossed k times, so every graph
+    # qualifies and a huge k searches exactly as the first such k does
+    for n in (4, 5, 6, 7):
+        if mode == "bipartite_alternating" and n % 2:
+            continue
+        huge = max_edges(n, 10**400, mode)
+        least = max_edges(n, (n - 2) ** 2 // 4 + 1, mode)
+        assert (huge.max_edges, huge.nodes_explored, huge.witness) == (
+            least.max_edges, least.nodes_explored, least.witness), (mode, n)
+        assert huge.proven_optimal and huge.settings["k"] == 10**400
+
 def test_determinism():
     a = max_edges(7, 2)
     b = max_edges(7, 2)
