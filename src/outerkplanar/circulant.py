@@ -34,7 +34,8 @@ Only the array functions (``dirichlet_kernel``, ``dirichlet_kernel_closed``,
 ``adjacency_eigenvalue(s)``) load numpy, on their first call.  Everything
 else here is pure Python: ``laplacian_lambda_max``, and so ``mohar_bound``,
 takes the largest Laplacian eigenvalue from the closed form over
-j = 1..n//2, so no CLI subcommand imports numpy.
+j = 1..n//2, so no CLI subcommand imports numpy.  Like ``exact_maxcut``
+it refuses work past MAXCUT_WORK_BUDGET steps.
 """
 
 from __future__ import annotations
@@ -158,15 +159,23 @@ def laplacian_lambda_max(spec: CirculantSpec) -> float:
     term, and D_r is even, so j and n - j give the same value; the closed
     form is evaluated for j = 1..n//2 only, where theta_j/2 = pi*j/n lies
     in (0, pi/2] and sin(theta_j/2) stays well away from 0.  O(n) time,
-    no numpy.
+    no numpy.  Budget: n//2 <= MAXCUT_WORK_BUDGET evaluations; at the cap
+    a call takes about 1.6 s on one core of a shared Linux container with
+    Python 3.11.  Past it BudgetExceededError is raised before any work.
     """
     n, r = spec.n, spec.r
+    if n // 2 > MAXCUT_WORK_BUDGET:
+        raise BudgetExceededError(
+            f"laplacian_lambda_max does n//2 evaluations for n={n}; "
+            f"that exceeds the budget n//2 <= {MAXCUT_WORK_BUDGET}"
+        )
     return max(2.0 * r + 1.0 - math.sin((r + 0.5) * theta) / math.sin(theta / 2.0)
                for theta in (2.0 * math.pi * j / n for j in range(1, n // 2 + 1)))
 
 
 def mohar_bound(spec: CirculantSpec) -> float:
-    """Spectral max-cut bound n * lambda_max(L) / 4."""
+    """Spectral max-cut bound n * lambda_max(L) / 4; raises
+    BudgetExceededError past ``laplacian_lambda_max``'s work cap."""
     return spec.n * laplacian_lambda_max(spec) / 4.0
 
 

@@ -123,7 +123,10 @@ def _dump(payload: dict | list) -> str:
 def _load_graph(path: str):
     try:
         if path == "-":
-            text = sys.stdin.read()
+            # decode the bytes strictly, as a file is; a text-only stdin
+            # (no .buffer) is read as it is
+            stdin = getattr(sys.stdin, "buffer", None)
+            text = sys.stdin.read() if stdin is None else stdin.read().decode("utf-8")
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()

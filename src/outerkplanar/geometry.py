@@ -63,7 +63,15 @@ __all__ = [
 
 
 def _normalize_edge(n: int, edge) -> tuple[int, int]:
-    """Return edge as (a, b) with 0 <= a < b < n, rejecting loops."""
+    """Return edge as (a, b) with 0 <= a < b < n, rejecting loops.
+
+    A tuple of two ints already in that form is returned itself, so graphs
+    built from shared edge tuples (the search's candidates) share them.
+    """
+    if type(edge) is tuple:
+        a, b = edge
+        if type(a) is int and type(b) is int and 0 <= a < b < n:
+            return edge
     a, b = edge
     a, b = int(a), int(b)
     if a < b:

@@ -23,17 +23,35 @@ over that state, which ``upper_prune`` exposes for a given partial
 graph.  One dominance rule skips branches: once the include branch of a
 chord that crosses no candidate has been searched, its exclude branch is
 not, because adding that chord to any graph of the exclude branch keeps
-it feasible and gains an edge.  Hull edges cross nothing, so
-in general mode every searched graph contains the first candidate, the
-hull edge (0, 1), which also leaves no rotation of the first edge to try.
+it feasible and gains an edge.
+
+Symmetry is pruned by orbital branching (Ostrowski, Linderoth, Rossi and
+Smriglio, Math. Programming 2011).  ``_group`` lists the dihedral maps
+i -> +-i + t (mod n) that send the coloring's candidate set onto itself;
+they preserve crossing, so each sends solutions to solutions of the same
+size.  Each node carries a group H of maps that fix its included and its
+excluded set.  Branching on a candidate i0 that crosses some candidate,
+the include child keeps the maps of H that fix i0, and the exclude child
+keeps H and excludes i0's whole orbit under H: a solution of the node
+that holds some image p(i0) but not i0 is sent by the inverse of p to
+one of the same size that holds i0, in the include child, which is
+searched first.  So every strict improvement is still first met at the
+same node, and the optimum, its proof and its witness are those of the
+search without symmetry; only node counts move.  A candidate that
+crosses none is included with H unchanged, although it may not be fixed.
+That is sound because those candidates (the bichromatic hull edges, or
+every candidate of a star coloring) come first in candidate order, and
+so all are included before the first orbital branch, when the included
+set is the H-invariant set of candidates that cross nothing and the
+excluded set is empty.
 
 Everything is deterministic: the incumbent only updates on strict
 improvement, so repeated runs return byte-identical results, including
 the witness.  The incumbent is the bitset of included candidates, decoded
 to edges once, for the result.  What a search reads that does not depend
-on k (each coloring's candidate order and crossing bitsets, the
-bipartite_free colorings) and the closed-form bound are memoized, so a
-loop over k at one n builds them once.
+on k (each coloring's candidate order, crossing bitsets and symmetry
+group, the bipartite_free colorings) and the closed-form bound are
+memoized, so a loop over k at one n builds them once.
 """
 
 from __future__ import annotations
@@ -155,6 +173,34 @@ def _tables(n: int, coloring) -> tuple[tuple[tuple[int, int], ...], tuple[int, .
     return tuple(cands), tuple(_cross_table(n, cands))
 
 
+@functools.cache
+def _group(n: int, coloring) -> tuple[tuple[int, ...], ...]:
+    """The non-identity dihedral maps i -> +-i + t (mod n) that send the
+    coloring's candidate set onto itself, each as an index map p over its
+    candidate list (candidate j goes to candidate p[j]).
+
+    Crossing is dihedral-invariant, so every such map also sends cross[j]
+    onto cross[p[j]].  A map keeps the bichromatic pairs exactly when it
+    keeps the coloring or swaps its colors, which is tested first.  Maps
+    that move no candidate are left out, so each entry is a distinct
+    permutation of the candidates.  Memoized like ``_tables``.
+    """
+    cands = _tables(n, coloring)[0]
+    index = {e: i for i, e in enumerate(cands)}
+    identity = tuple(range(len(cands)))
+    kept = coloring and (coloring, tuple(1 - c for c in coloring))
+    maps = set()
+    for sign in (1, -1):
+        for t in range(n):
+            if kept and tuple(coloring[(sign * i + t) % n] for i in range(n)) not in kept:
+                continue
+            p = tuple(index[_normalize_edge(n, ((sign * a + t) % n, (sign * b + t) % n))]
+                      for a, b in cands)
+            if p != identity:
+                maps.add(p)
+    return tuple(sorted(maps))
+
+
 def _node_bound(m_inc: int, n_feas: int, per_cost, cap: int, static_ub: int) -> int:
     """The search's pruning bound at one node; no completion can beat it.
 
@@ -250,10 +296,12 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int) -> None:
 
     n_costs = min(k, m_cand) + 1  # a candidate's cost never exceeds k or m_inc
 
-    def dfs(feas, layers, included, sat, cap, m_inc):
+    def dfs(feas, layers, included, sat, cap, m_inc, group):
         # feas is the bitset of addable candidates and layers[c] the
         # bitset of those that cross exactly c included edges.  A call
         # owns the layers it is given: its caller never reads them again.
+        # group holds the maps of _group that fix the node's included
+        # and excluded sets (see the module docstring).
         inc.nodes += 1
         if m_inc > inc.best:
             inc.best = m_inc
@@ -294,19 +342,32 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int) -> None:
         for layer in layers:
             new_layers.append(layer & stay | below & move)
             below = layer
-        dfs(new_feas, new_layers, new_included, new_sat, cap + k - 2 * c0, m_inc + 1)
+        # Orbital branching (see the module docstring): the include
+        # branch keeps the maps that fix i0, and the exclude branch drops
+        # i0's whole orbit.  A candidate that crosses none keeps them all.
+        orbit = bit0
+        fixing = group
+        if x0 and group:
+            fixing = []
+            for p in group:
+                if p[i0] == i0:
+                    fixing.append(p)
+                else:
+                    orbit |= 1 << p[i0]
+        dfs(new_feas, new_layers, new_included, new_sat, cap + k - 2 * c0, m_inc + 1, fixing)
         if not x0:
             # Dominance: i0 crosses no candidate, so adding it to any
             # completion of the exclude branch stays feasible and gains
             # an edge; the include branch just searched holds a
             # strictly better graph, and the incumbent already has it.
             return
-        # exclude branch
-        layers[c0] ^= bit0
-        dfs(feas ^ bit0, layers, included, sat, cap, m_inc)
+        # exclude branch: i0's whole orbit, which shares i0's cost and so
+        # lies in layers[c0]
+        layers[c0] ^= orbit
+        dfs(feas ^ orbit, layers, included, sat, cap, m_inc, group)
 
     every = (1 << m_cand) - 1
-    dfs(every, [every] + [0] * (n_costs - 1), 0, 0, 0, 0)
+    dfs(every, [every] + [0] * (n_costs - 1), 0, 0, 0, 0, _group(n, coloring))
 
 
 @functools.cache
@@ -380,9 +441,10 @@ def max_edges(n: int, k: int, mode: str = "general", *,
 
     Accepts 2 <= n <= 12 (``MAX_SEARCH_N``), but not every accepted cell is
     proven in reasonable time.  Of the cells with k <= 6, these stay
-    unproven within 3M nodes: general (10,4-6), (11,3-6) and (12,2-6),
-    bipartite_free (12,3-6) and bipartite_consecutive (12,5-6); every
-    bipartite_alternating cell proves.  Raises BudgetExceededError (with the
+    unproven within 3M nodes: general (10,5-6), (11,3-6) and (12,2-6), and
+    bipartite_free (12,3-6); every bipartite_alternating and
+    bipartite_consecutive cell proves, the slowest being consecutive
+    (12,6) at 2.78M nodes.  Raises BudgetExceededError (with the
     best incumbent attached as ``result``) if ``node_budget`` search nodes
     are exhausted first; otherwise the result is proven optimal.
     """

@@ -124,6 +124,14 @@ def test_spectral_bound_matches_numpy_eigenvalues():
             assert mohar_bound(spec) == pytest.approx(n * ref / 4.0, rel=1e-12), (n, r)
 
 
+def test_spectral_bound_work_cap():
+    # n//2 closed-form evaluations at most; past the cap nothing is evaluated
+    for n in (2 * MAXCUT_WORK_BUDGET + 2, 10**400):
+        for bound in (laplacian_lambda_max, mohar_bound):
+            with pytest.raises(BudgetExceededError, match="exceeds the budget"):
+                bound(CirculantSpec(n, 1))
+
+
 def test_mohar_values():
     assert mohar_bound(CirculantSpec(5, 1)) == pytest.approx(4.522542485937368, abs=1e-12)
     # the even cycle and C_12^{1,2} are tight cases

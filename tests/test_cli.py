@@ -236,6 +236,20 @@ def test_verify_stdin(monkeypatch):
     assert "k" not in payload
 
 
+def test_verify_stdin_decodes_strictly(monkeypatch, tmp_path):
+    # stdin's bytes are decoded as strict UTF-8, as a file's are, whatever
+    # error handler the text stream was opened with
+    raw = b'\xff\xfe{"n": 3}'
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8",
+                                                       errors="surrogateescape"))
+    from_stdin = invoke_json("verify", "-")
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    assert from_stdin == invoke_json("verify", str(path))
+    assert from_stdin[0] == 3 and from_stdin[1]["error"]["code"] == "malformed-json"
+    assert "can't decode byte 0xff" in from_stdin[1]["error"]["message"]
+
+
 def test_verify_bad_inputs(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -585,9 +599,9 @@ def test_failure_records_frozen(tmp_path, monkeypatch):
 
 
 def test_hostile_numbers_give_records():
-    # Only calls whose work does not grow with the value: circulant --method
-    # mohar loops n/2 times, and construct, or sweep over a wide grid,
-    # allocates in proportion to the sizes asked for.
+    # Only calls whose work does not grow with the value: construct, or
+    # sweep over a wide grid, allocates in proportion to the sizes asked
+    # for.  circulant --method mohar refuses n/2 evaluations past its cap.
     huge = str(10**400)  # an integer too large for a float
     for argv in (
         ["bounds", "--n", "10", "--k", huge],
@@ -601,9 +615,12 @@ def test_hostile_numbers_give_records():
         ["circulant", "--n", huge, "--r", "1", "--method", "lemma"],
         ["circulant", "--n", huge, "--r", "1", "--method", "lemma-refined"],
         ["circulant", "--n", "10", "--r", huge, "--method", "lemma"],
+        ["circulant", "--n", huge, "--r", "1", "--method", "mohar"],
     ):
         code, payload = invoke_json(*argv)
         assert code == _EXIT_CODES[payload["error"]["code"]], argv
+    assert invoke_json("circulant", "--n", huge, "--r", "1",
+                       "--method", "mohar")[1]["error"]["code"] == "budget-exceeded"
     for argv, message in (
         (["bounds", "--n", "10", "--k", "5", "--precision", "1001"],
          "--precision must be at most 1000"),

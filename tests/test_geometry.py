@@ -56,6 +56,21 @@ def test_complete_graph_crossing_totals():
         assert sum(counts.values()) == 2 * math.comb(n, 4)
 
 
+def test_normalized_tuples_are_shared():
+    from outerkplanar.geometry import _normalize_edge
+    edge = (2, 5)
+    assert _normalize_edge(6, edge) is edge
+    # anything else gets a fresh normalized tuple
+    for other, want in [([2, 5], (2, 5)), ((5, 2), (2, 5)), ((False, True), (0, 1))]:
+        got = _normalize_edge(6, other)
+        assert got == want and got is not other and type(got) is tuple
+        assert all(type(v) is int for v in got)
+    for bad in [(2, 6), (-1, 3), (3, 3)]:
+        with pytest.raises(ValueError):
+            _normalize_edge(6, bad)
+    assert ConvexGraph(6, [edge]).sorted_edges()[0] is edge
+
+
 def test_chord_length_and_hull():
     assert chord_length(6, (0, 1)) == 0
     assert chord_length(6, (5, 0)) == 0

@@ -22,6 +22,7 @@ from outerkplanar.search import (
     _candidate_list,
     _canonical_colorings,
     _cross_table,
+    _group,
     _MODE_COLORINGS,
     _tables,
 )
@@ -288,6 +289,55 @@ def test_cross_table_matches_pairwise_rule():
                 assert _tables(n, coloring) == (tuple(cands), tuple(want)), (n, coloring)
 
 
+def every_search_coloring(n_values):
+    for n in n_values:
+        for mode in SEARCH_MODES:
+            if mode == "bipartite_alternating" and n % 2:
+                continue
+            for coloring in _MODE_COLORINGS[mode](n):
+                yield mode, n, coloring
+
+
+def test_symmetry_group_preserves_candidates_and_crossings():
+    for mode, n, coloring in every_search_coloring(range(3, 13)):
+        cands, cross = _tables(n, coloring)
+        m = len(cands)
+        index = {e: i for i, e in enumerate(cands)}
+        # every dihedral map that keeps the candidate set, as an index map
+        want = set()
+        for sign in (1, -1):
+            for t in range(n):
+                image = [tuple(sorted(((sign * a + t) % n, (sign * b + t) % n)))
+                         for a, b in cands]
+                if set(image) == set(cands):
+                    want.add(tuple(index[e] for e in image))
+        want.discard(tuple(range(m)))
+        maps = _group(n, coloring)
+        assert set(maps) == want and len(maps) == len(want), (n, coloring)
+        for p in maps:
+            for i in range(m):
+                moved = sum(1 << p[j] for j in range(m) if cross[i] >> j & 1)
+                assert moved == cross[p[i]], (n, coloring, p, i)
+        if mode == "general":
+            assert len(maps) == 2 * n - 1
+
+
+def test_candidates_crossing_nothing_come_first():
+    # the search includes these with the group unchanged, which is sound
+    # because they come before every candidate that crosses one
+    for _, n, coloring in every_search_coloring(range(3, 13)):
+        cross = _tables(n, coloring)[1]
+        free = [i for i, x in enumerate(cross) if not x]
+        assert free == list(range(len(free))), (n, coloring)
+
+
+def test_general_10_4_proves_29():
+    # left unproven at 3M nodes before orbital branching; the MILP agrees
+    res = max_edges(10, 4, node_budget=3_000_000)
+    assert res.proven_optimal and res.max_edges == 29
+    check_witness(res, 10, 4, "general")
+
+
 def test_memoized_tables_survive_a_k_grid():
     # A k-grid at fixed n reads the same cached tables for every k; a
     # search that changed them would change a later cell's result.
@@ -355,10 +405,10 @@ DIGEST_CELLS = [
 # 4-subset crossing table and integer colorings came in (with the k = 3
 # small-k row already conditional).
 SEARCH_DIGEST = "472df695ed2e555956851c6032b962c8ce7e3a53861f03de5131733d2e086924"
-# sha256 over the same cells of (mode, n, k, nodes_explored), frozen before
-# the pruning bound was folded into one function: a change that keeps the
-# traversal node for node keeps this digest.
-SEARCH_NODES_DIGEST = "ef3fd80240235912ee63e154ff76aa3f6f9cb7893c257e519591be1bf605dce9"
+# sha256 over the same cells of (mode, n, k, nodes_explored), frozen when
+# orbital branching came in (117,772 nodes over the cells before, 55,024
+# after): a change that keeps the traversal node for node keeps this digest.
+SEARCH_NODES_DIGEST = "eb17dad0fc9afb89cb6e8a5b0833b05fc5d81239cebec688517f0c7b428eaae1"
 
 
 def test_search_results_frozen():
@@ -379,24 +429,24 @@ def test_nodes_explored_frozen():
     # these counts updates them and lists the change in CHANGES.md.
     # (bipartite_consecutive, 10, 4) is one of the few cells where the
     # exclude branch's cost layers decide a capacity prune.
-    want = {("general", 8, 3): 18479, ("bipartite_free", 8, 3): 647,
-            ("bipartite_alternating", 10, 2): 1113,
-            ("bipartite_consecutive", 10, 4): 38706,
+    want = {("general", 8, 3): 6511, ("bipartite_free", 8, 3): 547,
+            ("bipartite_alternating", 10, 2): 263,
+            ("bipartite_consecutive", 10, 4): 24596,
             # cells at n >= 10, where the candidate sets are widest
             ("general", 11, 2): 7496, ("general", 12, 1): 41,
-            ("bipartite_free", 10, 0): 7747, ("bipartite_free", 10, 2): 34531,
-            ("bipartite_alternating", 10, 4): 1961,
-            ("bipartite_consecutive", 11, 2): 31227,
-            ("bipartite_consecutive", 12, 1): 39559}
+            ("bipartite_free", 10, 0): 5197, ("bipartite_free", 10, 2): 25037,
+            ("bipartite_alternating", 10, 4): 867,
+            ("bipartite_consecutive", 11, 2): 20515,
+            ("bipartite_consecutive", 12, 1): 23697}
     got = {cell: max_edges(cell[1], cell[2], cell[0]).nodes_explored for cell in want}
     assert got == want
 
 
 # sha256 over the budget-cut runs below of (mode, n, k, budget, max_edges,
-# nodes_explored, witness edges, coloring), frozen before the addable
-# candidates were kept as bitsets: a search that stops early must stop at
-# the same node with the same incumbent.
-BUDGET_CUT_DIGEST = "777baccc3308d09420252d24fb54a62dcc0384ec200b3bbe1d1dbabede89da52"
+# nodes_explored, witness edges, coloring), frozen when orbital branching
+# came in: a search that stops early must stop at the same node with the
+# same incumbent.
+BUDGET_CUT_DIGEST = "b4f9992b6fb447d4a5c9d4f22de6421c306d0ccfcf37d5ddde61192383ac3e75"
 
 
 def test_budget_cut_incumbents_frozen():
