@@ -479,6 +479,13 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _overflow_message(args, exc: OverflowError) -> str:
+    """The message led by the flags whose value no float can hold."""
+    flags = [f"--{name.replace('_', '-')}" for name, value in vars(args).items()
+             if type(value) is int and abs(value) > sys.float_info.max]
+    return f"{', '.join(flags)}: {exc}" if flags else str(exc)
+
+
 def run(argv=None, out=None) -> int:
     """Parse argv, execute, write the result; return the exit code."""
     stream = sys.stdout if out is None else out
@@ -488,7 +495,8 @@ def run(argv=None, out=None) -> int:
     except (CliError, *_LIBRARY_ERRORS) as exc:
         code = exc.code if isinstance(exc, CliError) else next(
             c for kind, c in _LIBRARY_ERRORS.items() if isinstance(exc, kind))
-        record = {"error": {"code": code, "message": str(exc)}}
+        message = _overflow_message(args, exc) if isinstance(exc, OverflowError) else str(exc)
+        record = {"error": {"code": code, "message": message}}
         if getattr(exc, "result", None) is not None:  # a search cut off by its budget
             record["result"] = _search_payload(exc.result)
         stream.write(_dump(record))

@@ -25,6 +25,18 @@ chord that crosses no candidate has been searched, its exclude branch is
 not, because adding that chord to any graph of the exclude branch keeps
 it feasible and gains an edge.
 
+A vertex term prunes as Russian-doll search does (Verfaillie, Lemaitre
+and Schiex, AAAI 1996; Ostergard, Discrete Appl. Math. 2002): delete any
+vertex and the other points are still in convex position, so no
+completion has more than opt(n - 1, k) edges plus the candidates still
+live at the vertex, included or addable (``_vertex_bound``).  The
+optima on n - 1 points come from ``_optima._PROVEN_OPTIMA``, a frozen
+table of values this search proved for n <= 11 and k <= 6, each row
+with the rows above it; where it has no entry the term is left out.
+Each node packs every vertex's live degree in one int (``_live_words``),
+so the term costs a few big-int operations per node, not a loop over
+the vertices.
+
 Symmetry is pruned by orbital branching (Ostrowski, Linderoth, Rossi and
 Smriglio, Math. Programming 2011).  ``_group`` lists the dihedral maps
 i -> +-i + t (mod n) that send the coloring's candidate set onto itself;
@@ -61,6 +73,7 @@ import math
 from itertools import combinations
 from typing import NamedTuple
 
+from ._optima import _PROVEN_OPTIMA
 from .bounds import _BOUNDS, DEFAULT_K_MIN
 from .errors import BudgetExceededError
 from .geometry import (
@@ -133,12 +146,9 @@ def _static_upper(n: int, k: int, bipartite: bool) -> int:
 
 
 def _candidate_list(n: int, coloring) -> list[tuple[int, int]]:
-    cands = [
-        (a, b)
-        for a in range(n)
-        for b in range(a + 1, n)
-        if coloring is None or coloring[a] != coloring[b]
-    ]
+    if coloring is not None:  # the general order, sharing its edge tuples
+        return [e for e in _tables(n, None)[0] if coloring[e[0]] != coloring[e[1]]]
+    cands = [(a, b) for a in range(n) for b in range(a + 1, n)]
     cands.sort(key=lambda e: (chord_length(n, e), e))
     return cands
 
@@ -174,6 +184,26 @@ def _tables(n: int, coloring) -> tuple[tuple[tuple[int, int], ...], tuple[int, .
 
 
 @functools.cache
+def _general_index(n: int) -> dict[tuple[int, int], int]:
+    """Each chord's position in ``_tables(n, None)``; read only."""
+    return {e: i for i, e in enumerate(_tables(n, None)[0])}
+
+
+@functools.cache
+def _live_words(n: int, coloring) -> tuple[tuple[int, ...], int, int]:
+    """Each candidate's word 2^(f*a) + 2^(f*b), ONES and GUARD: vertex v's
+    live degree (``_vertex_bound``) is packed in the f = (n - 1).bit_length()
+    + 1 bits at f*v, below its guard bit.  Memoized like ``_tables``."""
+    if coloring is not None:  # the general words, shared
+        words, ones, guard = _live_words(n, None)
+        index = _general_index(n)
+        return tuple(words[index[e]] for e in _tables(n, coloring)[0]), ones, guard
+    f = (n - 1).bit_length() + 1
+    ones = sum(1 << f * v for v in range(n))
+    return tuple(1 << f * a | 1 << f * b for a, b in _tables(n, None)[0]), ones, ones << f - 1
+
+
+@functools.cache
 def _group(n: int, coloring) -> tuple[tuple[int, ...], ...]:
     """The non-identity dihedral maps i -> +-i + t (mod n) that send the
     coloring's candidate set onto itself, each as an index map p over its
@@ -188,11 +218,11 @@ def _group(n: int, coloring) -> tuple[tuple[int, ...], ...]:
     cands = _tables(n, coloring)[0]
     index = {e: i for i, e in enumerate(cands)}
     identity = tuple(range(len(cands)))
-    kept = coloring and (coloring, tuple(1 - c for c in coloring))
     maps = set()
     for sign in (1, -1):
         for t in range(n):
-            if kept and tuple(coloring[(sign * i + t) % n] for i in range(n)) not in kept:
+            if coloring and len({coloring[(sign * i + t) % n] ^ coloring[i]
+                                 for i in range(n)}) > 1:
                 continue
             p = tuple(index[_normalize_edge(n, ((sign * a + t) % n, (sign * b + t) % n))]
                       for a, b in cands)
@@ -226,6 +256,22 @@ def _node_bound(m_inc: int, n_feas: int, per_cost, cap: int, static_ub: int) -> 
     return ub
 
 
+def _vertex_bound(opt1: int, live) -> int:
+    """The vertex term of the pruning bound: opt(n - 1, k) plus the least
+    live(v), the candidates at v included or addable (module docstring).
+    ``_solve`` tests it on packed degrees, ``upper_prune`` calls it."""
+    return opt1 + min(live)
+
+
+def _smaller_optimum(n: int, k: int, mode: str) -> int | None:
+    """opt(n - 1, k) for the vertex term, or None off the table.  A vertex
+    deleted from a consecutive coloring leaves two arcs, and from the
+    alternating one some two-coloring, which bipartite_free covers."""
+    row = _PROVEN_OPTIMA.get(("bipartite_free" if mode == "bipartite_alternating"
+                              else mode, n - 1), ())
+    return row[k] if k < len(row) else None
+
+
 def upper_prune(n: int, k: int, state, remaining, *, bipartite: bool = False) -> int:
     """The search's pruning bound at the node that has chosen ``state``.
 
@@ -233,14 +279,16 @@ def upper_prune(n: int, k: int, state, remaining, *, bipartite: bool = False) ->
     k-planar) and ``remaining`` the undecided candidates.  The node state
     is built the way the search keeps it, on the general candidate list
     and its crossing bitsets, and ``_node_bound`` is evaluated on it; see
-    there for the three quantities.  ``bipartite`` selects the closed-form
-    bounds of a bipartite search.  The bound never undercuts the best
-    completion of ``state`` by edges of ``remaining``.  The first call at
-    a given n builds that n's C(n, 4) crossing table in ``_tables``, which
-    keeps it for the life of the process.
+    there for the three quantities.  The vertex term of ``_vertex_bound``
+    is added where the table holds opt(n - 1, k).  ``bipartite`` selects
+    the closed-form bounds and the smaller optimum of a bipartite search.
+    The bound never undercuts the best completion of ``state`` by edges of
+    ``remaining``.  The first call at a given n builds that n's C(n, 4)
+    crossing table in ``_tables``, which keeps it for the life of the
+    process.
     """
     cands, cross = _tables(n, None)
-    index = {e: i for i, e in enumerate(cands)}
+    index = _general_index(n)
     state_bits = [index[e] for e in {_normalize_edge(n, e) for e in state}]
     included = sum(1 << i for i in state_bits)
     sat = 0
@@ -262,8 +310,13 @@ def upper_prune(n: int, k: int, state, remaining, *, bipartite: bool = False) ->
         if cost <= k:
             feas |= 1 << i
             layers[cost] |= 1 << i
-    return _node_bound(len(state_bits), feas.bit_count(), layers, cap,
-                       _static_upper(n, k, bipartite))
+    ub = _node_bound(len(state_bits), feas.bit_count(), layers, cap,
+                     _static_upper(n, k, bipartite))
+    opt1 = _smaller_optimum(n, k, "bipartite_free" if bipartite else "general")
+    if opt1 is None:
+        return ub
+    ends = [v for i, e in enumerate(cands) if (included | feas) >> i & 1 for v in e]
+    return min(ub, _vertex_bound(opt1, [ends.count(v) for v in range(n)]))
 
 
 class _Incumbent:
@@ -289,19 +342,23 @@ class _Incumbent:
                            self.best_coloring)
 
 
-def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int) -> None:
-    """Branch and bound over one fixed coloring (None = unconstrained)."""
+def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
+           opt1: int | None) -> None:
+    """Branch and bound over one fixed coloring (None = unconstrained);
+    ``opt1`` is opt(n - 1, k) for the vertex term, or None to leave it out."""
     cands, cross = _tables(n, coloring)
+    words, ones, guard = _live_words(n, coloring)
     m_cand = len(cands)
 
     n_costs = min(k, m_cand) + 1  # a candidate's cost never exceeds k or m_inc
 
-    def dfs(feas, layers, included, sat, cap, m_inc, group):
+    def dfs(feas, layers, included, sat, cap, m_inc, group, deg):
         # feas is the bitset of addable candidates and layers[c] the
         # bitset of those that cross exactly c included edges.  A call
         # owns the layers it is given: its caller never reads them again.
         # group holds the maps of _group that fix the node's included
-        # and excluded sets (see the module docstring).
+        # and excluded sets (see the module docstring), and deg packs the
+        # live degrees (see _live_words).
         inc.nodes += 1
         if m_inc > inc.best:
             inc.best = m_inc
@@ -313,6 +370,13 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int) -> None:
             return
         if _node_bound(m_inc, feas.bit_count(), layers, cap, static_ub) <= inc.best:
             return
+        if opt1 is not None:
+            # _vertex_bound <= best iff a field of deg is below th1, whose
+            # guard bit the subtraction then clears; no field borrows, as
+            # th1 <= n <= 2^(f-1) (best <= opt(n, k) <= opt1 + n - 1)
+            th1 = inc.best - opt1 + 1
+            if th1 > 0 and ((deg | guard) - th1 * ones) & guard != guard:
+                return
         # branch on the first addable candidate in candidate order
         bit0 = feas & -feas
         i0 = bit0.bit_length() - 1
@@ -334,6 +398,12 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int) -> None:
                 drop |= x
             t ^= low
         new_feas = feas & ~drop
+        new_deg = deg
+        gone = feas & drop ^ bit0  # live before, dead now
+        while gone:
+            low = gone & -gone
+            new_deg -= words[low.bit_length() - 1]
+            gone ^= low
         # the others that cross i0 move up one layer
         stay = new_feas & ~x0
         move = new_feas & x0
@@ -354,7 +424,8 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int) -> None:
                     fixing.append(p)
                 else:
                     orbit |= 1 << p[i0]
-        dfs(new_feas, new_layers, new_included, new_sat, cap + k - 2 * c0, m_inc + 1, fixing)
+        dfs(new_feas, new_layers, new_included, new_sat, cap + k - 2 * c0, m_inc + 1,
+            fixing, new_deg)
         if not x0:
             # Dominance: i0 crosses no candidate, so adding it to any
             # completion of the exclude branch stays feasible and gains
@@ -364,10 +435,15 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int) -> None:
         # exclude branch: i0's whole orbit, which shares i0's cost and so
         # lies in layers[c0]
         layers[c0] ^= orbit
-        dfs(feas ^ orbit, layers, included, sat, cap, m_inc, group)
+        gone = orbit
+        while gone:
+            low = gone & -gone
+            deg -= words[low.bit_length() - 1]
+            gone ^= low
+        dfs(feas ^ orbit, layers, included, sat, cap, m_inc, group, deg)
 
     every = (1 << m_cand) - 1
-    dfs(every, [every] + [0] * (n_costs - 1), 0, 0, 0, 0, _group(n, coloring))
+    dfs(every, [every] + [0] * (n_costs - 1), 0, 0, 0, 0, _group(n, coloring), sum(words))
 
 
 @functools.cache
@@ -441,12 +517,13 @@ def max_edges(n: int, k: int, mode: str = "general", *,
 
     Accepts 2 <= n <= 12 (``MAX_SEARCH_N``), but not every accepted cell is
     proven in reasonable time.  Of the cells with k <= 6, these stay
-    unproven within 3M nodes: general (10,5-6), (11,3-6) and (12,2-6), and
-    bipartite_free (12,3-6); every bipartite_alternating and
-    bipartite_consecutive cell proves, the slowest being consecutive
-    (12,6) at 2.78M nodes.  Raises BudgetExceededError (with the
-    best incumbent attached as ``result``) if ``node_budget`` search nodes
-    are exhausted first; otherwise the result is proven optimal.
+    unproven within 3M nodes: general (10,5-6), (11,3-6) and (12,3-6), and
+    bipartite_free (12,4-6); general (12,2) = 30 takes 2.3M nodes.  Every
+    bipartite_alternating and bipartite_consecutive cell proves, the
+    slowest being consecutive (12,5) at 735k nodes.  Raises
+    BudgetExceededError (with the best incumbent attached as ``result``)
+    if ``node_budget`` search nodes are exhausted first; otherwise the
+    result is proven optimal.
     """
     n, k = int(n), int(k)
     if not 2 <= n <= MAX_SEARCH_N:
@@ -461,12 +538,13 @@ def max_edges(n: int, k: int, mode: str = "general", *,
     settings = {"n": n, "k": k, "mode": mode}
     bipartite = mode != "general"
     static_ub = _static_upper(n, k, bipartite)
+    opt1 = _smaller_optimum(n, k, mode)
     inc = _Incumbent(node_budget, None if warm_start is None
                      else _validate_warm_start(warm_start, n, k, mode))
     exceeded = None
     try:
         for coloring in colorings:
-            _solve(inc, n, k, coloring, static_ub)
+            _solve(inc, n, k, coloring, static_ub, opt1)
     except BudgetExceededError as exc:
         exceeded = exc
     result = SearchResult(

@@ -621,6 +621,20 @@ def test_hostile_numbers_give_records():
         assert code == _EXIT_CODES[payload["error"]["code"]], argv
     assert invoke_json("circulant", "--n", huge, "--r", "1",
                        "--method", "mohar")[1]["error"]["code"] == "budget-exceeded"
+    # a value too large for a float is named by its flag
+    for argv, flags in (
+        (["bounds", "--n", huge, "--k", "0"], "--n"),
+        (["bounds", "--n", "10", "--k", huge], "--k"),
+        (["bounds", "--n", huge, "--k", huge], "--n, --k"),
+        (["sweep", "--n-from", huge, "--n-to", huge, "--k-from", "0", "--k-to", "0"],
+         "--n-from, --n-to"),
+        (["circulant", "--n", huge, "--r", "1", "--method", "lemma"], "--n"),
+        (["circulant", "--n", huge + "0", "--r", huge, "--method", "lemma-refined"],
+         "--n, --r"),
+    ):
+        assert invoke_json(*argv) == (6, {"error": {
+            "code": "invalid-input",
+            "message": f"{flags}: int too large to convert to float"}}), argv
     for argv, message in (
         (["bounds", "--n", "10", "--k", "5", "--precision", "1001"],
          "--precision must be at most 1000"),

@@ -17,14 +17,18 @@ from outerkplanar import (
     max_edges,
     upper_prune,
 )
+from outerkplanar import search
 from outerkplanar.geometry import chords_cross
 from outerkplanar.search import (
     _candidate_list,
     _canonical_colorings,
     _cross_table,
     _group,
+    _live_words,
     _MODE_COLORINGS,
+    _PROVEN_OPTIMA,
     _tables,
+    _vertex_bound,
 )
 
 
@@ -213,22 +217,35 @@ def test_upper_prune_examples():
     # a huge k costs no more than a small one: no candidate's cost exceeds
     # the state's size, so the node state holds that many cost layers
     assert upper_prune(6, 10**12, [(0, 3)], [(1, 4), (2, 5)]) == 3
+    # vertex 6 keeps one candidate: the 16 candidates and the closed form
+    # 2n - 3 = 11 give way to opt(6, 0) + 1 = 10, which (0, 6) attains
+    off6 = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+    assert upper_prune(7, 0, [], off6 + [(0, 6)]) == 10
 
 
-def test_upper_prune_is_admissible(rng):
-    # Groups of (cases, largest n, largest k, bipartite, largest min_cost).
-    # The first 200 cases leave every other edge undecided.  The later ones
-    # leave only edges that cross at least min_cost state edges, as deep
-    # search nodes do, so that with k up to 4 the capacity bound is reached
-    # with c_min > 1.  Bipartite cases draw all edges from the bichromatic
-    # edges of the alternating coloring.
-    for cases, n_max, k_max, bipartite, max_min_cost in [
-            (200, 7, 2, False, 0), (150, 8, 4, False, 2), (150, 8, 4, True, 2)]:
+def test_upper_prune_is_admissible(rng, monkeypatch):
+    # Groups of (cases, largest n, largest k, bipartite, largest min_cost,
+    # isolate).  The first 200 cases leave every other edge undecided.  The
+    # next ones leave only edges that cross at least min_cost state edges,
+    # as deep search nodes do, so that with k up to 4 the capacity bound is
+    # reached with c_min > 1.  Bipartite cases draw all edges from the
+    # bichromatic edges of the alternating coloring.  The isolate cases keep
+    # at most two edges at one vertex, where the vertex term binds.
+    binding = 0
+    for cases, n_max, k_max, bipartite, max_min_cost, isolate in [
+            (200, 7, 2, False, 0, False), (150, 8, 4, False, 2, False),
+            (150, 8, 4, True, 2, False), (100, 8, 4, False, 0, True),
+            (100, 8, 4, True, 1, True)]:
         for _ in range(cases):
             n = rng.randint(4, n_max)
             k = rng.randint(0, k_max)
             all_edges = [(a, b) for a in range(n) for b in range(a + 1, n)
                          if not bipartite or (a + b) % 2]
+            if isolate:
+                v = rng.randrange(n)
+                at_v = [e for e in all_edges if v in e]
+                kept = rng.sample(at_v, rng.randint(0, 2))
+                all_edges = [e for e in all_edges if v not in e or e in kept]
             rng.shuffle(all_edges)
             state = []
             for e in all_edges:
@@ -242,6 +259,10 @@ def test_upper_prune_is_admissible(rng):
             bound = upper_prune(n, k, state, remaining, bipartite=bipartite)
             true_best = brute_best_completion(n, k, state, remaining)
             assert bound >= true_best, (n, k, bipartite, state, remaining)
+            with monkeypatch.context() as m:
+                m.setattr(search, "_PROVEN_OPTIMA", {})
+                binding += bound < upper_prune(n, k, state, remaining, bipartite=bipartite)
+    assert binding >= 50  # the vertex term was tested where it decides
 
 
 def test_canonical_form_examples():
@@ -355,8 +376,8 @@ def test_memoized_tables_survive_a_k_grid():
 
 def test_budget_exceeded_bipartite_witness():
     # the partial witness is decoded from the incumbent's bitset over the
-    # candidates of its own coloring
-    for budget in (50, 500, 5000):
+    # candidates of its own coloring; the cell proves in 3,261 nodes
+    for budget in (50, 500, 3000):
         with pytest.raises(BudgetExceededError) as info:
             max_edges(10, 2, "bipartite_free", node_budget=budget)
         partial = info.value.result
@@ -406,9 +427,10 @@ DIGEST_CELLS = [
 # small-k row already conditional).
 SEARCH_DIGEST = "472df695ed2e555956851c6032b962c8ce7e3a53861f03de5131733d2e086924"
 # sha256 over the same cells of (mode, n, k, nodes_explored), frozen when
-# orbital branching came in (117,772 nodes over the cells before, 55,024
-# after): a change that keeps the traversal node for node keeps this digest.
-SEARCH_NODES_DIGEST = "eb17dad0fc9afb89cb6e8a5b0833b05fc5d81239cebec688517f0c7b428eaae1"
+# the vertex term came in (117,772 nodes over the cells before orbital
+# branching, 55,024 after it, 39,508 with the vertex term): a change that
+# keeps the traversal node for node keeps this digest.
+SEARCH_NODES_DIGEST = "eb97361b03c25e1ec0918de51815b3def662892d450b65be5c4a40ad9585ff6a"
 
 
 def test_search_results_frozen():
@@ -429,24 +451,24 @@ def test_nodes_explored_frozen():
     # these counts updates them and lists the change in CHANGES.md.
     # (bipartite_consecutive, 10, 4) is one of the few cells where the
     # exclude branch's cost layers decide a capacity prune.
-    want = {("general", 8, 3): 6511, ("bipartite_free", 8, 3): 547,
-            ("bipartite_alternating", 10, 2): 263,
-            ("bipartite_consecutive", 10, 4): 24596,
+    want = {("general", 8, 3): 4841, ("bipartite_free", 8, 3): 547,
+            ("bipartite_alternating", 10, 2): 161,
+            ("bipartite_consecutive", 10, 4): 3260,
             # cells at n >= 10, where the candidate sets are widest
-            ("general", 11, 2): 7496, ("general", 12, 1): 41,
-            ("bipartite_free", 10, 0): 5197, ("bipartite_free", 10, 2): 25037,
-            ("bipartite_alternating", 10, 4): 867,
-            ("bipartite_consecutive", 11, 2): 20515,
-            ("bipartite_consecutive", 12, 1): 23697}
+            ("general", 11, 2): 6658, ("general", 12, 1): 41,
+            ("bipartite_free", 10, 0): 1425, ("bipartite_free", 10, 2): 3261,
+            ("bipartite_alternating", 10, 4): 841,
+            ("bipartite_consecutive", 11, 2): 4553,
+            ("bipartite_consecutive", 12, 1): 8643}
     got = {cell: max_edges(cell[1], cell[2], cell[0]).nodes_explored for cell in want}
     assert got == want
 
 
 # sha256 over the budget-cut runs below of (mode, n, k, budget, max_edges,
-# nodes_explored, witness edges, coloring), frozen when orbital branching
+# nodes_explored, witness edges, coloring), frozen when the vertex term
 # came in: a search that stops early must stop at the same node with the
 # same incumbent.
-BUDGET_CUT_DIGEST = "b4f9992b6fb447d4a5c9d4f22de6421c306d0ccfcf37d5ddde61192383ac3e75"
+BUDGET_CUT_DIGEST = "1ad26ad111792ea2919ee34afe2e7cb95601433510818cc7ba206f1b91b3d563"
 
 
 def test_budget_cut_incumbents_frozen():
@@ -461,3 +483,66 @@ def test_budget_cut_incumbents_frozen():
             h.update(json.dumps([mode, n, k, budget, res.max_edges, res.nodes_explored,
                                  res.witness.sorted_edges(), res.witness.coloring]).encode())
     assert h.hexdigest() == BUDGET_CUT_DIGEST
+
+
+def test_packed_live_degrees_match_popcounts(rng):
+    # the search's guard-bit test prunes exactly where _vertex_bound, on
+    # per-vertex popcounts, is at most the incumbent: with th1 = best -
+    # opt(n - 1) + 1, some live degree is below th1
+    for _, n, coloring in every_search_coloring(range(2, 13)):
+        cands = _tables(n, coloring)[0]
+        words, ones, guard = _live_words(n, coloring)
+        f = (n - 1).bit_length() + 1
+        vmask = [sum(1 << i for i, e in enumerate(cands) if v in e) for v in range(n)]
+        for trial in range(6):
+            live = (1 << len(cands)) - 1 if trial == 0 else rng.getrandbits(len(cands))
+            deg = sum(w for i, w in enumerate(words) if live >> i & 1)
+            degrees = [(live & mask).bit_count() for mask in vmask]
+            assert [deg >> f * v & (1 << f) - 1 for v in range(n)] == degrees
+            for th1 in range(1, 2 ** (f - 1) + 1):  # best - opt(n - 1) <= n - 1 < 2^(f-1)
+                cut = ((deg | guard) - th1 * ones) & guard != guard
+                assert cut == (_vertex_bound(0, degrees) <= th1 - 1), (n, coloring, live, th1)
+
+
+def test_proven_optima_reprove():
+    # every entry of the table, re-proven row by row from n = 2, each row
+    # with the rows just proven: the table checks itself by induction
+    assert prove_optima({key: range(len(row)) for key, row in _PROVEN_OPTIMA.items()}) \
+        == _PROVEN_OPTIMA
+
+
+def test_bipartite_free_12_3_proves_24():
+    # left unproven at 3M nodes before the vertex term; the MILP agrees
+    res = max_edges(12, 3, "bipartite_free", node_budget=3_000_000)
+    assert res.proven_optimal and res.max_edges == 24
+    check_witness(res, 12, 3, "bipartite_free")
+
+
+def prove_optima(rows, budget=3_000_000):
+    """Prove max_edges on the cells ``rows`` names, {(mode, n): ks}, in
+    increasing n and k, with the search reading the rows proven so far as
+    its ``_PROVEN_OPTIMA``; a row stops at its first k not proven within
+    ``budget`` nodes.  Returns the proven rows, {(mode, n): values}."""
+    proven = {}
+    frozen = search._PROVEN_OPTIMA
+    search._PROVEN_OPTIMA = proven
+    try:
+        for mode, n in sorted(rows, key=lambda key: (key[1], key[0])):
+            row = []
+            for k in rows[mode, n]:
+                try:
+                    row.append(max_edges(n, k, mode, node_budget=budget).max_edges)
+                except BudgetExceededError:
+                    break
+            proven[mode, n] = tuple(row)
+    finally:
+        search._PROVEN_OPTIMA = frozen
+    return proven
+
+
+if __name__ == "__main__":
+    # prints the rows of outerkplanar/_optima.py, rebuilt from nothing
+    table = prove_optima({(mode, n): range(7) for n in range(2, 12)
+                          for mode in ("general", "bipartite_free", "bipartite_consecutive")})
+    for (mode, n), row in sorted(table.items()):
+        print(f"    ({mode!r}, {n}): {row},")
