@@ -33,13 +33,13 @@ live at the vertex, included or addable (``_vertex_bound``).  The
 optima on n - 1 points come from ``_optima._PROVEN_OPTIMA``, a frozen
 table of values this search proved for n <= 11 and k <= 6, each row
 with the rows above it; where it has no entry the term is left out.
-Each node packs every vertex's live degree in one int (``_live_words``),
+Each node packs every vertex's live degree in one int (``_problem``),
 so the term costs a few big-int operations per node, not a loop over
 the vertices.
 
 Symmetry is pruned by orbital branching (Ostrowski, Linderoth, Rossi and
-Smriglio, Math. Programming 2011).  ``_group`` lists the dihedral maps
-i -> +-i + t (mod n) that send the coloring's candidate set onto itself;
+Smriglio, Math. Programming 2011).  ``_view`` lists a coloring's dihedral
+maps i -> +-i + t (mod n) that send its candidate set onto itself;
 they preserve crossing, so each sends solutions to solutions of the same
 size.  Each node carries a group H of maps that fix its included and its
 excluded set.  Branching on a candidate i0 that crosses some candidate,
@@ -61,15 +61,17 @@ Everything is deterministic: the incumbent only updates on strict
 improvement, so repeated runs return byte-identical results, including
 the witness.  The incumbent is the bitset of included candidates, decoded
 to edges once, for the result.  What a search reads that does not depend
-on k (each coloring's candidate order, crossing bitsets and symmetry
-group, the bipartite_free colorings) and the closed-form bound are
-memoized, so a loop over k at one n builds them once.
+on k is memoized, so a loop over k at one n builds it once: the
+closed-form bound, the bipartite_free colorings, the chords with their
+crossing bitsets and vertex words (``_problem``), and each coloring's
+share of those with its symmetry group (``_view``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from itertools import combinations
 from typing import NamedTuple
 
@@ -145,90 +147,88 @@ def _static_upper(n: int, k: int, bipartite: bool) -> int:
     return math.floor(min(vals))
 
 
-def _candidate_list(n: int, coloring) -> list[tuple[int, int]]:
-    if coloring is not None:  # the general order, sharing its edge tuples
-        return [e for e in _tables(n, None)[0] if coloring[e[0]] != coloring[e[1]]]
-    cands = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    cands.sort(key=lambda e: (chord_length(n, e), e))
-    return cands
+class _Problem(NamedTuple):
+    chords: tuple[tuple[int, int], ...]  # every chord, in candidate order
+    index: dict[tuple[int, int], int]  # each chord's position in chords
+    cross: tuple[int, ...]
+    words: tuple[int, ...]
+    ones: int
+    guard: int
 
 
-def _cross_table(n: int, cands) -> list[int]:
-    """Bitmask per candidate of the candidates it crosses.
+@functools.cache
+def _problem(n: int) -> _Problem:
+    """What a search on n points reads that depends on n alone; read only.
 
-    Of the three pairings of a 4-subset a < b < c < d only (a, c), (b, d)
-    crosses, so the table costs C(n, 4) lookups instead of m^2 tests.
+    Candidate order is increasing chord length, then lexicographic.
+    ``cross[i]`` is the bitset of the chords that chord i crosses: of the
+    three pairings of a 4-subset a < b < c < d only (a, c), (b, d) crosses,
+    so the table costs C(n, 4) lookups instead of m^2 tests.  Chord (a, b)
+    has the word 2^(f*a) + 2^(f*b): vertex v's live degree is packed in the
+    f = (n - 1).bit_length() + 1 bits at f*v, below its bit of ``guard``,
+    and ``ones`` has a 1 in each field.
     """
-    index = {e: i for i, e in enumerate(cands)}
-    cross = [0] * len(cands)
+    chords = sorted(((a, b) for a in range(n) for b in range(a + 1, n)),
+                    key=lambda e: (chord_length(n, e), e))
+    index = {e: i for i, e in enumerate(chords)}
+    cross = [0] * len(chords)
     for a, b, c, d in combinations(range(n), 4):
-        i = index.get((a, c))
-        j = index.get((b, d))
-        if i is not None and j is not None:
-            cross[i] |= 1 << j
-            cross[j] |= 1 << i
-    return cross
-
-
-@functools.cache
-def _tables(n: int, coloring) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """The candidate chords of one coloring (None = all) and their crossing
-    bitsets, built once per (n, coloring) and shared by every search on it.
-
-    Both are tuples, so no caller can change what the next one reads.  The
-    cache keeps one entry per (n, coloring) searched, all at n <= 12, and
-    one per n that ``upper_prune`` was asked about.
-    """
-    cands = _candidate_list(n, coloring)
-    return tuple(cands), tuple(_cross_table(n, cands))
-
-
-@functools.cache
-def _general_index(n: int) -> dict[tuple[int, int], int]:
-    """Each chord's position in ``_tables(n, None)``; read only."""
-    return {e: i for i, e in enumerate(_tables(n, None)[0])}
-
-
-@functools.cache
-def _live_words(n: int, coloring) -> tuple[tuple[int, ...], int, int]:
-    """Each candidate's word 2^(f*a) + 2^(f*b), ONES and GUARD: vertex v's
-    live degree (``_vertex_bound``) is packed in the f = (n - 1).bit_length()
-    + 1 bits at f*v, below its guard bit.  Memoized like ``_tables``."""
-    if coloring is not None:  # the general words, shared
-        words, ones, guard = _live_words(n, None)
-        index = _general_index(n)
-        return tuple(words[index[e]] for e in _tables(n, coloring)[0]), ones, guard
+        i = index[a, c]
+        j = index[b, d]
+        cross[i] |= 1 << j
+        cross[j] |= 1 << i
     f = (n - 1).bit_length() + 1
     ones = sum(1 << f * v for v in range(n))
-    return tuple(1 << f * a | 1 << f * b for a, b in _tables(n, None)[0]), ones, ones << f - 1
+    return _Problem(tuple(chords), index, tuple(cross),
+                    tuple(1 << f * a | 1 << f * b for a, b in chords), ones, ones << f - 1)
+
+
+class _View(NamedTuple):
+    cands: tuple[tuple[int, int], ...]
+    cross: tuple[int, ...]
+    words: tuple[int, ...]
+    group: tuple[tuple[int, ...], ...]
 
 
 @functools.cache
-def _group(n: int, coloring) -> tuple[tuple[int, ...], ...]:
-    """The non-identity dihedral maps i -> +-i + t (mod n) that send the
-    coloring's candidate set onto itself, each as an index map p over its
-    candidate list (candidate j goes to candidate p[j]).
+def _view(n: int, coloring) -> _View:
+    """One coloring's search record (None = no coloring); read only.
 
-    Crossing is dihedral-invariant, so every such map also sends cross[j]
-    onto cross[p[j]].  A map keeps the bichromatic pairs exactly when it
-    keeps the coloring or swaps its colors, which is tested first.  Maps
-    that move no candidate are left out, so each entry is a distinct
-    permutation of the candidates.  Memoized like ``_tables``.
+    The candidates are the bichromatic chords of ``_problem(n)``, in its
+    order; their bitsets and words are cut from it and re-indexed over the
+    candidates.  ``group`` holds the dihedral maps i -> +-i + t (mod n)
+    that send the candidate set onto itself, as index maps p (candidate j
+    goes to p[j], and cross[j] to cross[p[j]]).  A map keeps the
+    bichromatic pairs exactly when it keeps the coloring or swaps its
+    colors, which is tested first.  Maps that move no candidate are left
+    out, so each entry is a distinct permutation of the candidates.
     """
-    cands = _tables(n, coloring)[0]
-    index = {e: i for i, e in enumerate(cands)}
-    identity = tuple(range(len(cands)))
+    prob = _problem(n)
+    keep = [g for g, (a, b) in enumerate(prob.chords)
+            if coloring is None or coloring[a] != coloring[b]]
+    pos = dict(zip(keep, range(len(keep))))  # general index -> candidate index
+    mask = sum(1 << g for g in keep)
+    cross = []
+    for g in keep:
+        x = prob.cross[g] & mask
+        y = 0
+        while x:
+            low = x & -x
+            y |= 1 << pos[low.bit_length() - 1]
+            x ^= low
+        cross.append(y)
+    cands = tuple(prob.chords[g] for g in keep)
     maps = set()
     for sign in (1, -1):
         for t in range(n):
             if coloring and len({coloring[(sign * i + t) % n] ^ coloring[i]
                                  for i in range(n)}) > 1:
                 continue
-            p = tuple(index[_normalize_edge(n, ((sign * a + t) % n, (sign * b + t) % n))]
-                      for a, b in cands)
-            if p != identity:
-                maps.add(p)
-    return tuple(sorted(maps))
+            maps.add(tuple(pos[prob.index[_normalize_edge(n, ((sign * a + t) % n,
+                                                              (sign * b + t) % n))]]
+                           for a, b in cands))
+    maps.discard(tuple(range(len(cands))))
+    return _View(cands, tuple(cross), tuple(prob.words[g] for g in keep), tuple(sorted(maps)))
 
 
 def _node_bound(m_inc: int, n_feas: int, per_cost, cap: int, static_ub: int) -> int:
@@ -283,12 +283,10 @@ def upper_prune(n: int, k: int, state, remaining, *, bipartite: bool = False) ->
     is added where the table holds opt(n - 1, k).  ``bipartite`` selects
     the closed-form bounds and the smaller optimum of a bipartite search.
     The bound never undercuts the best completion of ``state`` by edges of
-    ``remaining``.  The first call at a given n builds that n's C(n, 4)
-    crossing table in ``_tables``, which keeps it for the life of the
-    process.
+    ``remaining``.  The first call at a given n builds its ``_problem``
+    record, which is kept for the life of the process.
     """
-    cands, cross = _tables(n, None)
-    index = _general_index(n)
+    chords, index, cross, *_ = _problem(n)
     state_bits = [index[e] for e in {_normalize_edge(n, e) for e in state}]
     included = sum(1 << i for i in state_bits)
     sat = 0
@@ -315,7 +313,7 @@ def upper_prune(n: int, k: int, state, remaining, *, bipartite: bool = False) ->
     opt1 = _smaller_optimum(n, k, "bipartite_free" if bipartite else "general")
     if opt1 is None:
         return ub
-    ends = [v for i, e in enumerate(cands) if (included | feas) >> i & 1 for v in e]
+    ends = [v for i, e in enumerate(chords) if (included | feas) >> i & 1 for v in e]
     return min(ub, _vertex_bound(opt1, [ends.count(v) for v in range(n)]))
 
 
@@ -337,7 +335,7 @@ class _Incumbent:
     def witness(self, n: int) -> ConvexGraph:
         if self.best_bits is None:
             return self.warm
-        cands = _tables(n, self.best_coloring)[0]
+        cands = _view(n, self.best_coloring).cands
         return ConvexGraph(n, [e for i, e in enumerate(cands) if self.best_bits >> i & 1],
                            self.best_coloring)
 
@@ -346,8 +344,8 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
            opt1: int | None) -> None:
     """Branch and bound over one fixed coloring (None = unconstrained);
     ``opt1`` is opt(n - 1, k) for the vertex term, or None to leave it out."""
-    cands, cross = _tables(n, coloring)
-    words, ones, guard = _live_words(n, coloring)
+    cands, cross, words, group = _view(n, coloring)
+    *_, ones, guard = _problem(n)
     m_cand = len(cands)
 
     n_costs = min(k, m_cand) + 1  # a candidate's cost never exceeds k or m_inc
@@ -356,9 +354,9 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
         # feas is the bitset of addable candidates and layers[c] the
         # bitset of those that cross exactly c included edges.  A call
         # owns the layers it is given: its caller never reads them again.
-        # group holds the maps of _group that fix the node's included
-        # and excluded sets (see the module docstring), and deg packs the
-        # live degrees (see _live_words).
+        # group holds the maps of the view's group that fix the node's
+        # included and excluded sets (see the module docstring), and deg
+        # packs the live degrees (see _problem).
         inc.nodes += 1
         if m_inc > inc.best:
             inc.best = m_inc
@@ -443,7 +441,7 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
         dfs(feas ^ orbit, layers, included, sat, cap, m_inc, group, deg)
 
     every = (1 << m_cand) - 1
-    dfs(every, [every] + [0] * (n_costs - 1), 0, 0, 0, 0, _group(n, coloring), sum(words))
+    dfs(every, [every] + [0] * (n_costs - 1), 0, 0, 0, 0, group, sum(words))
 
 
 @functools.cache
@@ -523,9 +521,10 @@ def max_edges(n: int, k: int, mode: str = "general", *,
     slowest being consecutive (12,5) at 735k nodes.  Raises
     BudgetExceededError (with the best incumbent attached as ``result``)
     if ``node_budget`` search nodes are exhausted first; otherwise the
-    result is proven optimal.
+    result is proven optimal.  n and k must be integers: a float or a str
+    raises TypeError.
     """
-    n, k = int(n), int(k)
+    n, k = operator.index(n), operator.index(k)
     if not 2 <= n <= MAX_SEARCH_N:
         raise ValueError(f"search supports 2 <= n <= {MAX_SEARCH_N} (got n={n})")
     if k < 0:

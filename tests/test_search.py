@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from conftest import brute_best_completion, brute_max_edges, canonical_colorings_by_tuples
@@ -18,17 +19,14 @@ from outerkplanar import (
     upper_prune,
 )
 from outerkplanar import search
-from outerkplanar.geometry import chords_cross
+from outerkplanar.geometry import chord_length, chords_cross
 from outerkplanar.search import (
-    _candidate_list,
     _canonical_colorings,
-    _cross_table,
-    _group,
-    _live_words,
     _MODE_COLORINGS,
+    _problem,
     _PROVEN_OPTIMA,
-    _tables,
     _vertex_bound,
+    _view,
 )
 
 
@@ -124,6 +122,12 @@ def test_input_validation():
     with pytest.raises(ValueError, match=r"^unknown mode 'fastest'; choose one of \('general', "
                        r"'bipartite_free', 'bipartite_alternating', 'bipartite_consecutive'\)$"):
         max_edges(6, 1, "fastest")
+    # no silent truncation to (8, 2); numpy ints are integers and pass
+    for n, k in [(8.7, 2.9), (8, 2.0), ("8", "2")]:
+        with pytest.raises(TypeError):
+            max_edges(n, k)
+    res = max_edges(np.int64(8), np.uint8(2))
+    assert res == max_edges(8, 2) and type(res.settings["n"]) is type(res.settings["k"]) is int
     assert set(SEARCH_MODES) == {
         "general", "bipartite_free", "bipartite_alternating",
         "bipartite_consecutive"}
@@ -296,18 +300,21 @@ def test_canonical_colorings_match_tuple_oracle():
         assert _canonical_colorings(n) == tuple(canonical_colorings_by_tuples(n)), n
 
 
-def test_cross_table_matches_pairwise_rule():
-    for n in range(2, 13):
-        for mode in SEARCH_MODES:
-            if mode == "bipartite_alternating" and n % 2:
-                continue
-            for coloring in _MODE_COLORINGS[mode](n):
-                cands = _candidate_list(n, coloring)
-                want = [sum(1 << j for j, f in enumerate(cands) if chords_cross(n, e, f))
-                        for e in cands]
-                assert _cross_table(n, cands) == want, (n, coloring)
-                # the memoized tables the search reads
-                assert _tables(n, coloring) == (tuple(cands), tuple(want)), (n, coloring)
+def test_crossing_bitsets_match_pairwise_rule():
+    # each coloring's view, re-indexed from the one table per n, against
+    # the pairwise rule on its bichromatic chords in candidate order
+    for _, n, coloring in every_search_coloring(range(2, 13)):
+        chords = sorted(((a, b) for a in range(n) for b in range(a + 1, n)),
+                        key=lambda e: (chord_length(n, e), e))
+        cands = [e for e in chords if coloring is None or coloring[e[0]] != coloring[e[1]]]
+        want = [sum(1 << j for j, f in enumerate(cands) if chords_cross(n, e, f))
+                for e in cands]
+        view = _view(n, coloring)
+        assert (view.cands, view.cross) == (tuple(cands), tuple(want)), (n, coloring)
+        if coloring is None:
+            problem = _problem(n)
+            assert (problem.chords, problem.cross) == (view.cands, view.cross), n
+            assert problem.index == {e: i for i, e in enumerate(chords)}, n
 
 
 def every_search_coloring(n_values):
@@ -321,7 +328,7 @@ def every_search_coloring(n_values):
 
 def test_symmetry_group_preserves_candidates_and_crossings():
     for mode, n, coloring in every_search_coloring(range(3, 13)):
-        cands, cross = _tables(n, coloring)
+        cands, cross, _, maps = _view(n, coloring)
         m = len(cands)
         index = {e: i for i, e in enumerate(cands)}
         # every dihedral map that keeps the candidate set, as an index map
@@ -333,7 +340,6 @@ def test_symmetry_group_preserves_candidates_and_crossings():
                 if set(image) == set(cands):
                     want.add(tuple(index[e] for e in image))
         want.discard(tuple(range(m)))
-        maps = _group(n, coloring)
         assert set(maps) == want and len(maps) == len(want), (n, coloring)
         for p in maps:
             for i in range(m):
@@ -347,7 +353,7 @@ def test_candidates_crossing_nothing_come_first():
     # the search includes these with the group unchanged, which is sound
     # because they come before every candidate that crosses one
     for _, n, coloring in every_search_coloring(range(3, 13)):
-        cross = _tables(n, coloring)[1]
+        cross = _view(n, coloring).cross
         free = [i for i, x in enumerate(cross) if not x]
         assert free == list(range(len(free))), (n, coloring)
 
@@ -359,19 +365,34 @@ def test_general_10_4_proves_29():
     check_witness(res, 10, 4, "general")
 
 
-def test_memoized_tables_survive_a_k_grid():
-    # A k-grid at fixed n reads the same cached tables for every k; a
+def test_memoized_records_survive_a_k_grid():
+    # A k-grid at fixed n reads the same cached records for every k; a
     # search that changed them would change a later cell's result.
     grid = [("general", 8, k) for k in range(5)] + [("bipartite_free", 8, k) for k in range(4)]
     shared = [max_edges(n, k, mode) for mode, n, k in grid]
     fresh = []
     for mode, n, k in grid:
-        _tables.cache_clear()
+        _problem.cache_clear()
+        _view.cache_clear()
         fresh.append(max_edges(n, k, mode))
     assert shared == fresh
+    problem = _problem(8)
+    assert type(problem.chords) is type(problem.cross) is type(problem.words) is tuple
     for coloring in (None, *_canonical_colorings(8)):
-        cands, cross = _tables(8, coloring)
-        assert type(cands) is tuple and type(cross) is tuple
+        assert all(type(field) is tuple for field in _view(8, coloring))
+
+
+def test_one_crossing_table_per_n():
+    # a bipartite_free search builds the 4-subset table once, and each
+    # coloring's view from it; upper_prune reads that table and no view
+    _problem.cache_clear()
+    _view.cache_clear()
+    max_edges(10, 2, "bipartite_free")
+    assert _problem.cache_info().misses == 1
+    assert _view.cache_info().misses == len(_canonical_colorings(10))
+    upper_prune(40, 3, [(0, 5), (1, 7)], [(2, 9), (3, 20)])
+    assert _problem.cache_info().misses == 2
+    assert _view.cache_info().misses == len(_canonical_colorings(10))
 
 
 def test_budget_exceeded_bipartite_witness():
@@ -490,8 +511,8 @@ def test_packed_live_degrees_match_popcounts(rng):
     # per-vertex popcounts, is at most the incumbent: with th1 = best -
     # opt(n - 1) + 1, some live degree is below th1
     for _, n, coloring in every_search_coloring(range(2, 13)):
-        cands = _tables(n, coloring)[0]
-        words, ones, guard = _live_words(n, coloring)
+        cands, _, words, _ = _view(n, coloring)
+        *_, ones, guard = _problem(n)
         f = (n - 1).bit_length() + 1
         vmask = [sum(1 << i for i, e in enumerate(cands) if v in e) for v in range(n)]
         for trial in range(6):
