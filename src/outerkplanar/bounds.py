@@ -24,6 +24,7 @@ The bipartite small-k constant deserves a note: the derivation yields
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, NamedTuple
 
 from .errors import NotApplicableError
@@ -56,7 +57,7 @@ DEFAULT_K_MIN = 176
 
 
 def _check_nk(n: int, k: int) -> tuple[int, int]:
-    n, k = int(n), int(k)
+    n, k = operator.index(n), operator.index(k)
     if n < 1:
         raise ValueError("n must be positive")
     if k < 0:
@@ -167,8 +168,7 @@ def crossing_lemma_lower(n: int, m: int, flavor: str = "outer") -> float:
     * ``multigraph_m2_bipartite``: 1024/16875 * m^3/(2n^2), same window
       as multigraph_m2 (no sharper threshold is established).
     """
-    n = int(n)
-    m = int(m)
+    n, m = operator.index(n), operator.index(m)
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
     if flavor not in _CROSSING_LEMMA:
@@ -236,7 +236,7 @@ class MaxMinDegreeBounds(NamedTuple):
 
 def maxmindeg_bound(k: int) -> MaxMinDegreeBounds:
     """Degree bounds 2*sqrt(k+1)+2 (general) and 2*sqrt(8/11*k)+2 (bipartite)."""
-    k = int(k)
+    k = operator.index(k)
     if k < 0:
         raise ValueError("k must be non-negative")
     return MaxMinDegreeBounds(

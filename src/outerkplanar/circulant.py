@@ -41,6 +41,7 @@ it refuses work past MAXCUT_WORK_BUDGET steps.
 from __future__ import annotations
 
 import math
+import operator
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BudgetExceededError
@@ -78,7 +79,7 @@ class CirculantSpec(NamedTuple("CirculantSpec", [("n", int), ("r", int)])):
     __slots__ = ()
 
     def __new__(cls, n: int, r: int):
-        n, r = int(n), int(r)
+        n, r = operator.index(n), operator.index(r)
         if r < 1:
             raise ValueError("r must be at least 1")
         if 2 * r >= n:
@@ -99,7 +100,7 @@ def dirichlet_kernel(r: int, theta):
     """
     import numpy as np
 
-    r = int(r)
+    r = operator.index(r)
     if r < 0:
         raise ValueError("r must be non-negative")
     th = np.asarray(theta, dtype=float)
@@ -121,7 +122,7 @@ def dirichlet_kernel_closed(r: int, theta):
     """
     import numpy as np
 
-    r = int(r)
+    r = operator.index(r)
     if r < 0:
         raise ValueError("r must be non-negative")
     th = np.asarray(theta, dtype=float)
@@ -138,7 +139,7 @@ def dirichlet_kernel_closed(r: int, theta):
 
 def adjacency_eigenvalue(spec: CirculantSpec, j: int) -> float:
     """Eigenvalue lambda_j = D_r(2*pi*j/n) - 1 of the adjacency matrix."""
-    j = int(j)
+    j = operator.index(j)
     if not 0 <= j < spec.n:
         raise ValueError(f"j must be in 0..{spec.n - 1}")
     return dirichlet_kernel(spec.r, 2.0 * math.pi * j / spec.n) - 1.0
@@ -181,7 +182,7 @@ def mohar_bound(spec: CirculantSpec) -> float:
 
 def mercer_inner(r: int) -> float:
     """The r-dependent branch 1/r + C0 - 8*pi/(2*(r+1)) of the kernel-minimum bound."""
-    r = int(r)
+    r = operator.index(r)
     if r < 2:
         raise ValueError("needs r >= 2")
     return 1.0 / r + MERCER_C0 - 8.0 * math.pi / (2.0 * (r + 1.0))
@@ -193,7 +194,7 @@ def mercer_min_bound(r: int) -> float:
     For r >= 176 the inner branch exceeds -0.5, so the bound stays above
     -r/2; that is exactly what the refined max-cut bound needs.
     """
-    r = int(r)
+    r = operator.index(r)
     if r < 2:
         raise ValueError("needs r >= 2")
     return min(-5.0 / 12.0, mercer_inner(r)) * r
@@ -319,7 +320,7 @@ def xor_sum(bits, r: int, mode: str = "cyclic") -> int:
         if not seq or any(b not in (0, 1) for b in seq):
             raise ValueError("bits must be a non-empty 0/1 sequence")
         bits = "".join(map(str, seq))
-    r = int(r)
+    r = operator.index(r)
     if r < 1:
         raise ValueError("r must be at least 1")
     # s_i is bit n-1-i of x; each shift by d lines every s_i up with s_{i+d}

@@ -12,7 +12,9 @@ Conventions used throughout the package:
 * the *length* of a chord is the number of vertices strictly between its
   endpoints on the smaller side, so hull edges are the chords of length 0
   and every other chord is a diagonal;
-* a graph is outer k-planar when no edge is crossed more than k times.
+* a graph is outer k-planar when no edge is crossed more than k times;
+* ``ConvexGraph`` alone checks n, edges and coloring, and the JSON loader
+  applies the same rule through it: values must be ints, never truncated.
 
 Per-edge crossing counts come from a counting identity rather than from
 testing pairs.  For a chord (a, b) with a < b,
@@ -61,19 +63,27 @@ __all__ = [
     "graph_from_json",
 ]
 
+_PAIR_TYPES = (list, tuple)  # an edge, or a coloring
+
 
 def _normalize_edge(n: int, edge) -> tuple[int, int]:
-    """Return edge as (a, b) with 0 <= a < b < n, rejecting loops.
+    """Return edge as (a, b) with 0 <= a < b < n.
 
-    A tuple of two ints already in that form is returned itself, so graphs
-    built from shared edge tuples (the search's candidates) share them.
+    An edge is a list or tuple of two ints (``type(x) is int``, so bool,
+    float, str and numpy scalars are refused), checked in the order pair,
+    integer, loop, range.  A tuple already in that form is returned
+    itself, so graphs built from shared edge tuples (the search's
+    candidates) share them.
     """
-    if type(edge) is tuple:
+    if type(edge) is tuple and len(edge) == 2:
         a, b = edge
         if type(a) is int and type(b) is int and 0 <= a < b < n:
             return edge
+    if not isinstance(edge, _PAIR_TYPES) or len(edge) != 2:
+        raise ValueError(f"edge entry {edge!r} is not a pair")
     a, b = edge
-    a, b = int(a), int(b)
+    if type(a) is not int or type(b) is not int:
+        raise ValueError(f"edge entry {edge!r} has an endpoint that is not an integer")
     if a < b:
         if 0 <= a and b < n:
             return (a, b)
@@ -120,8 +130,9 @@ class ConvexGraph:
     n : int
         Vertex count, at least 2.
     edges : iterable of pairs
-        Chords; stored normalized and deduplicated.
-    coloring : sequence of {0, 1}, optional
+        Chords, each a list or tuple of two ints (see ``_normalize_edge``);
+        stored normalized and deduplicated.
+    coloring : list or tuple of ints in {0, 1}, optional
         A two-sided vertex coloring (used by the bipartite constructions
         and searches).  Attaching a coloring does not by itself assert
         that every edge is bichromatic; callers that claim bipartiteness
@@ -131,12 +142,15 @@ class ConvexGraph:
     __slots__ = ("n", "edges", "coloring", "_nbrs")
 
     def __init__(self, n: int, edges=(), coloring=None):
-        n = int(n)
+        if type(n) is not int:
+            raise ValueError("'n' must be an integer")
         if n < 2:
             raise ValueError("a convex graph needs at least 2 vertices")
         normalized = frozenset(map(partial(_normalize_edge, n), edges))
         if coloring is not None:
-            coloring = tuple(int(c) for c in coloring)
+            if not isinstance(coloring, _PAIR_TYPES) or any(type(c) is not int for c in coloring):
+                raise ValueError("'coloring' must be a list of integers")
+            coloring = tuple(coloring)
             if len(coloring) != n:
                 raise ValueError("coloring length must equal the vertex count")
             if any(c not in (0, 1) for c in coloring):
@@ -350,7 +364,8 @@ def is_bipartite(g: ConvexGraph) -> bool:
 # {"n": <int>, "edges": [[a, b], ...], "coloring": [0, 1, ...]}
 #
 # Edges are serialized with a < b and sorted lexicographically; "coloring"
-# is optional.  This is the format consumed and produced by the CLI.
+# is optional.  This is the format consumed and produced by the CLI.  The
+# loader checks the document's shape; ConvexGraph checks its values.
 # ---------------------------------------------------------------------------
 
 
@@ -359,37 +374,6 @@ def to_json_dict(g: ConvexGraph) -> dict:
     if g.coloring is not None:
         doc["coloring"] = list(g.coloring)
     return doc
-
-
-_PAIR_TYPES = (list, tuple)
-
-
-def from_json_dict(doc) -> ConvexGraph:
-    if not isinstance(doc, dict):
-        raise ValueError("graph document must be a JSON object")
-    if "n" not in doc:
-        raise ValueError("graph document is missing 'n'")
-    n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError("'n' must be an integer")
-    edges = doc.get("edges", [])
-    if not isinstance(edges, list):
-        raise ValueError("'edges' must be a list of pairs")
-    for e in edges:
-        if not isinstance(e, _PAIR_TYPES) or len(e) != 2:
-            raise ValueError(f"edge entry {e!r} is not a pair")
-        # ConvexGraph coerces with int(), which would take 1.7, true and "1";
-        # the type test also rejects bool, which isinstance(_, int) accepts
-        if type(e[0]) is not int or type(e[1]) is not int:
-            raise ValueError(f"edge entry {e!r} has an endpoint that is not an integer")
-    coloring = doc.get("coloring")
-    if coloring is not None and not (
-            isinstance(coloring, list) and all(type(c) is int for c in coloring)):
-        raise ValueError("'coloring' must be a list of integers")
-    unknown = set(doc) - {"n", "edges", "coloring"}
-    if unknown:
-        raise ValueError(f"unknown graph fields: {sorted(unknown)}")
-    return ConvexGraph(n, edges, coloring)
 
 
 def graph_to_json(g: ConvexGraph) -> str:
@@ -401,4 +385,14 @@ def graph_from_json(text: str) -> ConvexGraph:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"malformed JSON: {exc}") from None
-    return from_json_dict(doc)
+    if not isinstance(doc, dict):
+        raise ValueError("graph document must be a JSON object")
+    if "n" not in doc:
+        raise ValueError("graph document is missing 'n'")
+    edges = doc.get("edges", [])
+    if not isinstance(edges, list):
+        raise ValueError("'edges' must be a list of pairs")
+    unknown = set(doc) - {"n", "edges", "coloring"}
+    if unknown:
+        raise ValueError(f"unknown graph fields: {sorted(unknown)}")
+    return ConvexGraph(doc["n"], edges, doc.get("coloring"))

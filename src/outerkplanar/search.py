@@ -283,9 +283,12 @@ def upper_prune(n: int, k: int, state, remaining, *, bipartite: bool = False) ->
     is added where the table holds opt(n - 1, k).  ``bipartite`` selects
     the closed-form bounds and the smaller optimum of a bipartite search.
     The bound never undercuts the best completion of ``state`` by edges of
-    ``remaining``.  The first call at a given n builds its ``_problem``
-    record, which is kept for the life of the process.
-    """
+    ``remaining``.  n and k are integers as for ``max_edges``, but n may
+    exceed ``MAX_SEARCH_N``; the first call at an n builds its lasting
+    ``_problem`` record."""
+    n, k = operator.index(n), operator.index(k)
+    if k < 0:
+        raise ValueError("k must be non-negative")
     chords, index, cross, *_ = _problem(n)
     state_bits = [index[e] for e in {_normalize_edge(n, e) for e in state}]
     included = sum(1 << i for i in state_bits)

@@ -6,7 +6,6 @@ import pytest
 from outerkplanar import (
     BIPARTITE_UPPER_VARIANTS,
     CROSSING_LEMMA_FLAVORS,
-    BudgetExceededError,
     DEFAULT_K_MIN,
     GENERAL_UPPER_VARIANTS,
     NotApplicableError,
@@ -18,9 +17,9 @@ from outerkplanar import (
     general_lower,
     general_lower_closed_form,
     general_upper,
-    max_edges,
     maxmindeg_bound,
 )
+from outerkplanar._optima import _PROVEN_OPTIMA
 
 
 def test_small_k_table_values():
@@ -59,6 +58,18 @@ def test_validity_windows():
         general_upper(1000, 2, "direct", k_min=0)
     with pytest.raises(ValueError):
         general_upper(10, 1, "newest")
+    # counts must be integers: numpy ints pass as plain ints, nothing is truncated
+    import numpy as np
+
+    report = bound_report(np.int64(10), np.int64(2))
+    assert report == bound_report(10, 2) and type(report.n) is type(report.k) is int
+    assert crossing_lemma_lower(np.int64(10), np.int64(50)) == crossing_lemma_lower(10, 50)
+    for call in (lambda: general_upper(100.9, 25.7), lambda: general_upper(100, 25.0),
+                 lambda: bipartite_upper("100", 25), lambda: bound_report(10.5, 2),
+                 lambda: crossing_lemma_lower(10.5, 50.5), lambda: crossing_lemma_lower(10, "50"),
+                 lambda: maxmindeg_bound(1.5), lambda: maxmindeg_bound("1")):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_frozen_upper_values():
@@ -319,7 +330,7 @@ def test_evaluators_agree_with_report():
 # the cells (n, k) it is allowed to contradict).
 _KNOWN_CONTRADICTIONS = {
     ("general", "chain_closed_form"): ("reference", lambda n, k: True),
-    ("general", "small_k"): ("conditional", lambda n, k: (n, k) == (6, 3)),
+    ("general", "small_k"): ("conditional", lambda n, k: (n, k) in ((6, 3), (10, 3))),
     ("bipartite", "consecutive"): ("reference", lambda n, k: n == 3 and k >= 2),
 }
 
@@ -327,25 +338,24 @@ _KNOWN_CONTRADICTIONS = {
 def test_proven_optima_audit_the_bound_table():
     """No upper row sits below, and no lower row above, a proven optimum,
     except the rows named above, which must contradict every proven cell
-    they are named for and keep their status."""
-    proved = 0
-    for mode, bipartite in (("general", False), ("bipartite_free", True)):
-        for n in range(3, 11):
-            for k in range(7):
-                try:
-                    opt = max_edges(n, k, mode, node_budget=100_000).max_edges
-                except BudgetExceededError:
+    they are named for and keep their status.  The optima are the search's
+    frozen table (general and bipartite_free, n 3..11), which
+    ``test_proven_optima_reprove`` checks against the search."""
+    cells = 0
+    for (mode, n), row in _PROVEN_OPTIMA.items():
+        if mode not in ("general", "bipartite_free") or n < 3:
+            continue
+        for k, opt in enumerate(row):
+            cells += 1
+            report = bound_report(n, k, bipartite=mode == "bipartite_free")
+            for e in report.entries:
+                if e.value is None:
                     continue
-                proved += 1
-                report = bound_report(n, k, bipartite=bipartite)
-                for e in report.entries:
-                    if e.value is None:
-                        continue
-                    cell = (report.family, e.name, n, k, e.value, opt)
-                    status, named = _KNOWN_CONTRADICTIONS.get(
-                        (report.family, e.name), (None, lambda n, k: False))
-                    wrong = e.value < opt if e.kind == "upper" else e.value > opt
-                    assert wrong == named(n, k), cell
-                    if wrong:
-                        assert e.valid == status, cell
-    assert proved >= 100
+                cell = (report.family, e.name, n, k, e.value, opt)
+                status, named = _KNOWN_CONTRADICTIONS.get(
+                    (report.family, e.name), (None, lambda n, k: False))
+                wrong = e.value < opt if e.kind == "upper" else e.value > opt
+                assert wrong == named(n, k), cell
+                if wrong:
+                    assert e.valid == status, cell
+    assert cells == 120

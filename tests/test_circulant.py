@@ -29,8 +29,19 @@ def test_spec_validation():
     spec = CirculantSpec(9, 2)
     assert spec.edge_count == 18
     assert hash(CirculantSpec(20, 3)) == hash((20, 3))
-    coerced = CirculantSpec(20.0, 3)
-    assert type(coerced.n) is int and coerced.n == 20
+    # counts must be integers: numpy ints pass as plain ints, nothing is truncated
+    from_numpy = CirculantSpec(np.int64(20), np.int64(3))
+    assert from_numpy == (20, 3) and type(from_numpy.n) is type(from_numpy.r) is int
+    for call in (lambda: CirculantSpec(20.9, 3), lambda: CirculantSpec(20, 3.2),
+                 lambda: CirculantSpec(20.0, 3), lambda: CirculantSpec("20", 3),
+                 lambda: spec._replace(n=30.0), lambda: dirichlet_kernel(2.0, 0.5),
+                 lambda: dirichlet_kernel_closed("2", 0.5),
+                 lambda: adjacency_eigenvalue(spec, 1.0), lambda: mercer_inner(2.5),
+                 lambda: mercer_min_bound("2"), lambda: xor_sum("0110", 1.5)):
+        with pytest.raises(TypeError):
+            call()
+    assert adjacency_eigenvalue(spec, np.int64(1)) == adjacency_eigenvalue(spec, 1)
+    assert mercer_min_bound(np.int64(5)) == mercer_min_bound(5)
     with pytest.raises(ValueError, match=r"^r must be at least 1$"):
         CirculantSpec(9, 0)
     with pytest.raises(ValueError, match=r"^need 2r < n \(got n=8, r=4\)$"):
@@ -38,7 +49,7 @@ def test_spec_validation():
     # _replace goes through the same checks
     with pytest.raises(ValueError, match=r"^r must be at least 1$"):
         spec._replace(r=0)
-    assert spec._replace(n=30.0) == CirculantSpec(30, 2)
+    assert spec._replace(n=30) == CirculantSpec(30, 2)
 
 
 def test_dirichlet_sum_form():

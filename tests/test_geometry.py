@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import pytest
 
@@ -61,11 +62,11 @@ def test_normalized_tuples_are_shared():
     edge = (2, 5)
     assert _normalize_edge(6, edge) is edge
     # anything else gets a fresh normalized tuple
-    for other, want in [([2, 5], (2, 5)), ((5, 2), (2, 5)), ((False, True), (0, 1))]:
+    for other, want in [([2, 5], (2, 5)), ((5, 2), (2, 5))]:
         got = _normalize_edge(6, other)
         assert got == want and got is not other and type(got) is tuple
         assert all(type(v) is int for v in got)
-    for bad in [(2, 6), (-1, 3), (3, 3)]:
+    for bad in [(2, 6), (-1, 3), (3, 3), (False, True), (2, 5.0), (2, 5, 1), (2,), 5, "25"]:
         with pytest.raises(ValueError):
             _normalize_edge(6, bad)
     assert ConvexGraph(6, [edge]).sorted_edges()[0] is edge
@@ -315,10 +316,43 @@ def test_json_rejects_non_integer_values(doc):
         graph_from_json(json.dumps(doc))
 
 
-def test_constructor_keeps_coercion():
-    # only the JSON loader is strict; the library constructor still int()s
-    assert ConvexGraph(5, [(0, 1.7)]).edges == {(0, 1)}
-    assert ConvexGraph(3, [], coloring="010").coloring == (0, 1, 0)
+def test_constructor_refuses_what_the_loader_refuses():
+    """ConvexGraph and the JSON loader apply one rule with one message per
+    fault; nothing is coerced, so a float is refused, not truncated."""
+    import numpy as np
+
+    for n, edges, coloring, message in (
+        (5, [[0, 1.7]], None, "edge entry [0, 1.7] has an endpoint that is not an integer"),
+        (5, [[False, 1]], None, "edge entry [False, 1] has an endpoint that is not an integer"),
+        (5, [[0, "1"]], None, "edge entry [0, '1'] has an endpoint that is not an integer"),
+        (4, [[0, 1, 2]], None, "edge entry [0, 1, 2] is not a pair"),
+        (4, [5], None, "edge entry 5 is not a pair"),
+        (4, ["01"], None, "edge entry '01' is not a pair"),
+        (4.0, [], None, "'n' must be an integer"),
+        (True, [], None, "'n' must be an integer"),
+        (3, [], "010", "'coloring' must be a list of integers"),
+        (3, [], [0, 0.5, 1], "'coloring' must be a list of integers"),
+        (3, [], [0, True, 0], "'coloring' must be a list of integers"),
+    ):
+        doc = {"n": n, "edges": edges, "coloring": coloring}
+        for build in (lambda: ConvexGraph(n, edges, coloring),
+                      lambda: graph_from_json(json.dumps(doc))):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
+    # forms JSON cannot spell get the same messages from the constructor
+    for edges, message in (
+        ([(0, 1, 2)], "edge entry (0, 1, 2) is not a pair"),
+        ([{0, 1}], "edge entry {0, 1} is not a pair"),
+        ([(np.int64(0), 1)], "has an endpoint that is not an integer"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ConvexGraph(4, edges)
+    with pytest.raises(ValueError, match="'n' must be an integer"):
+        ConvexGraph(np.int64(4), [])
+    with pytest.raises(ValueError, match="'coloring' must be a list of integers"):
+        ConvexGraph(4, [], coloring=np.array([0, 1, 0, 1]))
+    assert ConvexGraph(4, [], coloring=[0, 1, 0, 1]).coloring == (0, 1, 0, 1)
 
 
 def test_crossing_counts_random_against_oracle(rng):

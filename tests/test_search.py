@@ -225,6 +225,15 @@ def test_upper_prune_examples():
     # 2n - 3 = 11 give way to opt(6, 0) + 1 = 10, which (0, 6) attains
     off6 = [(a, b) for a in range(6) for b in range(a + 1, 6)]
     assert upper_prune(7, 0, [], off6 + [(0, 6)]) == 10
+    # n and k are checked as max_edges checks them
+    for k in (2.5, 2.0, "2"):
+        with pytest.raises(TypeError):
+            upper_prune(8, k, [], [(0, 1)])
+    with pytest.raises(TypeError):
+        upper_prune(8.0, 2, [], [(0, 1)])
+    with pytest.raises(ValueError, match="^k must be non-negative$"):
+        upper_prune(8, -1, [], [(0, 1)])
+    assert upper_prune(np.int64(6), np.int64(0), [], hull6 + chords6) == 9
 
 
 def test_upper_prune_is_admissible(rng, monkeypatch):
