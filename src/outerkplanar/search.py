@@ -353,13 +353,15 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
 
     n_costs = min(k, m_cand) + 1  # a candidate's cost never exceeds k or m_inc
 
-    def dfs(feas, layers, included, sat, cap, m_inc, group, deg):
+    def dfs(feas, layers, included, sat, cap, m_inc, group, deg, lost):
         # feas is the bitset of addable candidates and layers[c] the
         # bitset of those that cross exactly c included edges.  A call
         # owns the layers it is given: its caller never reads them again.
         # group holds the maps of the view's group that fix the node's
-        # included and excluded sets (see the module docstring), and deg
-        # packs the live degrees (see _problem).
+        # included and excluded sets (see the module docstring).  deg
+        # packs the live degrees (see _problem) as the parent had them,
+        # and lost is the bitset of candidates that died since; a node
+        # brings deg up to date only once it passes _node_bound.
         inc.nodes += 1
         if m_inc > inc.best:
             inc.best = m_inc
@@ -372,6 +374,10 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
         if _node_bound(m_inc, feas.bit_count(), layers, cap, static_ub) <= inc.best:
             return
         if opt1 is not None:
+            while lost:
+                low = lost & -lost
+                deg -= words[low.bit_length() - 1]
+                lost ^= low
             # _vertex_bound <= best iff a field of deg is below th1, whose
             # guard bit the subtraction then clears; no field borrows, as
             # th1 <= n <= 2^(f-1) (best <= opt(n, k) <= opt1 + n - 1)
@@ -399,12 +405,6 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
                 drop |= x
             t ^= low
         new_feas = feas & ~drop
-        new_deg = deg
-        gone = feas & drop ^ bit0  # live before, dead now
-        while gone:
-            low = gone & -gone
-            new_deg -= words[low.bit_length() - 1]
-            gone ^= low
         # the others that cross i0 move up one layer
         stay = new_feas & ~x0
         move = new_feas & x0
@@ -426,7 +426,7 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
                 else:
                     orbit |= 1 << p[i0]
         dfs(new_feas, new_layers, new_included, new_sat, cap + k - 2 * c0, m_inc + 1,
-            fixing, new_deg)
+            fixing, deg, feas & drop ^ bit0)
         if not x0:
             # Dominance: i0 crosses no candidate, so adding it to any
             # completion of the exclude branch stays feasible and gains
@@ -436,15 +436,10 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
         # exclude branch: i0's whole orbit, which shares i0's cost and so
         # lies in layers[c0]
         layers[c0] ^= orbit
-        gone = orbit
-        while gone:
-            low = gone & -gone
-            deg -= words[low.bit_length() - 1]
-            gone ^= low
-        dfs(feas ^ orbit, layers, included, sat, cap, m_inc, group, deg)
+        dfs(feas ^ orbit, layers, included, sat, cap, m_inc, group, deg, orbit)
 
     every = (1 << m_cand) - 1
-    dfs(every, [every] + [0] * (n_costs - 1), 0, 0, 0, 0, group, sum(words))
+    dfs(every, [every] + [0] * (n_costs - 1), 0, 0, 0, 0, group, sum(words), 0)
 
 
 @functools.cache
