@@ -20,10 +20,13 @@ included and of the saturated edges (those crossed k times), the
 crossing headroom left on included edges, and the number of edges
 included.  Pruning uses ``_node_bound``, an admissible optimistic bound
 over that state, which ``upper_prune`` exposes for a given partial
-graph.  One dominance rule skips branches: once the include branch of a
-chord that crosses no candidate has been searched, its exclude branch is
-not, because adding that chord to any graph of the exclude branch keeps
-it feasible and gains an edge.
+graph.  The candidates that cross no candidate (the bichromatic hull
+edges, or every candidate of a star coloring) come first in candidate
+order, and the search starts with all of them included.  That is the
+node a chain of include branches on them would reach, and each exclude
+branch on the way is dominated: adding the candidate to any of its
+graphs keeps it feasible and gains an edge.  So the search branches only
+on candidates that cross some candidate.
 
 A vertex term prunes as Russian-doll search does (Verfaillie, Lemaitre
 and Schiex, AAAI 1996; Ostergard, Discrete Appl. Math. 2002): delete any
@@ -35,27 +38,24 @@ table of values this search proved for n <= 11 and k <= 6, each row
 with the rows above it; where it has no entry the term is left out.
 Each node packs every vertex's live degree in one int (``_problem``),
 so the term costs a few big-int operations per node, not a loop over
-the vertices.
+the vertices; a node takes its parent's packed degrees and subtracts
+the candidates it lost only once it passes ``_node_bound``.
 
 Symmetry is pruned by orbital branching (Ostrowski, Linderoth, Rossi and
 Smriglio, Math. Programming 2011).  ``_view`` lists a coloring's dihedral
 maps i -> +-i + t (mod n) that send its candidate set onto itself;
 they preserve crossing, so each sends solutions to solutions of the same
 size.  Each node carries a group H of maps that fix its included and its
-excluded set.  Branching on a candidate i0 that crosses some candidate,
-the include child keeps the maps of H that fix i0, and the exclude child
-keeps H and excludes i0's whole orbit under H: a solution of the node
-that holds some image p(i0) but not i0 is sent by the inverse of p to
-one of the same size that holds i0, in the include child, which is
-searched first.  So every strict improvement is still first met at the
-same node, and the optimum, its proof and its witness are those of the
-search without symmetry; only node counts move.  A candidate that
-crosses none is included with H unchanged, although it may not be fixed.
-That is sound because those candidates (the bichromatic hull edges, or
-every candidate of a star coloring) come first in candidate order, and
-so all are included before the first orbital branch, when the included
-set is the H-invariant set of candidates that cross nothing and the
-excluded set is empty.
+excluded set.  Branching on a candidate i0, the include child keeps the
+maps of H that fix i0, and the exclude child keeps H and excludes i0's
+whole orbit under H: a solution of the node that holds some image p(i0)
+but not i0 is sent by the inverse of p to one of the same size that
+holds i0, in the include child, which is searched first.  So every
+strict improvement is still first met at the same node, and the optimum,
+its proof and its witness are those of the search without symmetry; only
+node counts move.  The root's H is the whole group, which fixes its
+included set, the candidates that cross nothing (a map preserves
+crossing), and its empty excluded set.
 
 Everything is deterministic: the incumbent only updates on strict
 improvement, so repeated runs return byte-identical results, including
@@ -188,6 +188,7 @@ class _View(NamedTuple):
     cross: tuple[int, ...]
     words: tuple[int, ...]
     group: tuple[tuple[int, ...], ...]
+    free: int
 
 
 @functools.cache
@@ -202,6 +203,7 @@ def _view(n: int, coloring) -> _View:
     bichromatic pairs exactly when it keeps the coloring or swaps its
     colors, which is tested first.  Maps that move no candidate are left
     out, so each entry is a distinct permutation of the candidates.
+    ``free`` counts the candidates before the first that crosses another.
     """
     prob = _problem(n)
     keep = [g for g, (a, b) in enumerate(prob.chords)
@@ -228,7 +230,9 @@ def _view(n: int, coloring) -> _View:
                                                               (sign * b + t) % n))]]
                            for a, b in cands))
     maps.discard(tuple(range(len(cands))))
-    return _View(cands, tuple(cross), tuple(prob.words[g] for g in keep), tuple(sorted(maps)))
+    free = next((i for i, x in enumerate(cross) if x), len(cross))
+    return _View(cands, tuple(cross), tuple(prob.words[g] for g in keep), tuple(sorted(maps)),
+                 free)
 
 
 def _node_bound(m_inc: int, n_feas: int, per_cost, cap: int, static_ub: int) -> int:
@@ -347,7 +351,7 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
            opt1: int | None) -> None:
     """Branch and bound over one fixed coloring (None = unconstrained);
     ``opt1`` is opt(n - 1, k) for the vertex term, or None to leave it out."""
-    cands, cross, words, group = _view(n, coloring)
+    cands, cross, words, group, free = _view(n, coloring)
     *_, ones, guard = _problem(n)
     m_cand = len(cands)
 
@@ -415,10 +419,10 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
             below = layer
         # Orbital branching (see the module docstring): the include
         # branch keeps the maps that fix i0, and the exclude branch drops
-        # i0's whole orbit.  A candidate that crosses none keeps them all.
+        # i0's whole orbit.
         orbit = bit0
         fixing = group
-        if x0 and group:
+        if group:
             fixing = []
             for p in group:
                 if p[i0] == i0:
@@ -427,19 +431,17 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
                     orbit |= 1 << p[i0]
         dfs(new_feas, new_layers, new_included, new_sat, cap + k - 2 * c0, m_inc + 1,
             fixing, deg, feas & drop ^ bit0)
-        if not x0:
-            # Dominance: i0 crosses no candidate, so adding it to any
-            # completion of the exclude branch stays feasible and gains
-            # an edge; the include branch just searched holds a
-            # strictly better graph, and the incumbent already has it.
-            return
         # exclude branch: i0's whole orbit, which shares i0's cost and so
         # lies in layers[c0]
         layers[c0] ^= orbit
         dfs(feas ^ orbit, layers, included, sat, cap, m_inc, group, deg, orbit)
 
-    every = (1 << m_cand) - 1
-    dfs(every, [every] + [0] * (n_costs - 1), 0, 0, 0, 0, group, sum(words), 0)
+    # the root includes the free candidates (module docstring), each with
+    # headroom k and saturated if k == 0; they stay live, so deg is current
+    prefix = (1 << free) - 1
+    rest = (1 << m_cand) - 1 - prefix
+    dfs(rest, [rest] + [0] * (n_costs - 1), prefix, 0 if k else prefix, k * free, free,
+        group, sum(words), 0)
 
 
 @functools.cache

@@ -578,7 +578,7 @@ FAILURE_BATTERY = (
 )
 
 # sha256 over json.dumps of every (argv, exit code, stdout) in the battery
-FAILURE_BATTERY_DIGEST = "fa1325c3567567e27460326b9b50ea54b903887f90f7ae975ebb230ebfb3f6b9"
+FAILURE_BATTERY_DIGEST = "b2d1bb1718cd76e53919a303952c72548bd9fe563a96f195dac09437db2cf454"
 
 
 def test_failure_records_frozen(tmp_path, monkeypatch):

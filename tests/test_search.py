@@ -169,6 +169,14 @@ def test_zero_budget_still_returns_something():
     with pytest.raises(BudgetExceededError) as info:
         max_edges(6, 0, node_budget=1)
     assert info.value.result.max_edges >= 0
+    # the root already holds the candidates that cross nothing: for the
+    # general search on 8 points, the 8 hull edges
+    with pytest.raises(BudgetExceededError) as info:
+        max_edges(8, 2, node_budget=0)
+    partial = info.value.result
+    assert partial.nodes_explored == 1 and not partial.proven_optimal
+    assert partial.witness.sorted_edges() == sorted(
+        tuple(sorted((i, (i + 1) % 8))) for i in range(8))
 
 
 def test_warm_start_seeds_incumbent():
@@ -337,7 +345,7 @@ def every_search_coloring(n_values):
 
 def test_symmetry_group_preserves_candidates_and_crossings():
     for mode, n, coloring in every_search_coloring(range(3, 13)):
-        cands, cross, _, maps = _view(n, coloring)
+        cands, cross, _, maps, _ = _view(n, coloring)
         m = len(cands)
         index = {e: i for i, e in enumerate(cands)}
         # every dihedral map that keeps the candidate set, as an index map
@@ -359,12 +367,16 @@ def test_symmetry_group_preserves_candidates_and_crossings():
 
 
 def test_candidates_crossing_nothing_come_first():
-    # the search includes these with the group unchanged, which is sound
-    # because they come before every candidate that crosses one
+    # the search's root includes these and keeps the whole group, which is
+    # sound because they are a prefix of the candidates that every map of
+    # the group sends onto itself
     for _, n, coloring in every_search_coloring(range(3, 13)):
-        cross = _view(n, coloring).cross
-        free = [i for i, x in enumerate(cross) if not x]
-        assert free == list(range(len(free))), (n, coloring)
+        view = _view(n, coloring)
+        free = [i for i, x in enumerate(view.cross) if not x]
+        assert free == list(range(view.free)), (n, coloring)
+        for p in view.group:
+            assert sorted(p[i] for i in free) == free, (n, coloring, p)
+
 
 
 def test_general_10_4_proves_29():
@@ -388,7 +400,8 @@ def test_memoized_records_survive_a_k_grid():
     problem = _problem(8)
     assert type(problem.chords) is type(problem.cross) is type(problem.words) is tuple
     for coloring in (None, *_canonical_colorings(8)):
-        assert all(type(field) is tuple for field in _view(8, coloring))
+        *tables, free = _view(8, coloring)
+        assert all(type(field) is tuple for field in tables) and type(free) is int
 
 
 def test_one_crossing_table_per_n():
@@ -406,7 +419,7 @@ def test_one_crossing_table_per_n():
 
 def test_budget_exceeded_bipartite_witness():
     # the partial witness is decoded from the incumbent's bitset over the
-    # candidates of its own coloring; the cell proves in 3,261 nodes
+    # candidates of its own coloring; the cell proves in 3,060 nodes
     for budget in (50, 500, 3000):
         with pytest.raises(BudgetExceededError) as info:
             max_edges(10, 2, "bipartite_free", node_budget=budget)
@@ -457,10 +470,11 @@ DIGEST_CELLS = [
 # small-k row already conditional).
 SEARCH_DIGEST = "472df695ed2e555956851c6032b962c8ce7e3a53861f03de5131733d2e086924"
 # sha256 over the same cells of (mode, n, k, nodes_explored), frozen when
-# the vertex term came in (117,772 nodes over the cells before orbital
-# branching, 55,024 after it, 39,508 with the vertex term): a change that
+# the search's root came to hold the candidates that cross nothing
+# (117,772 nodes over the cells before orbital branching, 55,024 after
+# it, 39,508 with the vertex term, 37,818 with that root): a change that
 # keeps the traversal node for node keeps this digest.
-SEARCH_NODES_DIGEST = "eb97361b03c25e1ec0918de51815b3def662892d450b65be5c4a40ad9585ff6a"
+SEARCH_NODES_DIGEST = "4d5d08efe94e2a686c8ea835cbd82324491b4722c9fe16ec34a04512a512177b"
 
 
 def test_search_results_frozen():
@@ -480,25 +494,27 @@ def test_nodes_explored_frozen():
     # nodes_explored is printed output too: a pruning change that moves
     # these counts updates them and lists the change in CHANGES.md.
     # (bipartite_consecutive, 10, 4) is one of the few cells where the
-    # exclude branch's cost layers decide a capacity prune.
-    want = {("general", 8, 3): 4841, ("bipartite_free", 8, 3): 547,
-            ("bipartite_alternating", 10, 2): 161,
-            ("bipartite_consecutive", 10, 4): 3260,
+    # exclude branch's cost layers decide a capacity prune.  Each count is
+    # the one from before the root held the candidates that cross nothing,
+    # less their number for each coloring whose root is not cut.
+    want = {("general", 8, 3): 4841 - 8, ("bipartite_free", 8, 3): 547 - 67,
+            ("bipartite_alternating", 10, 2): 161 - 10,
+            ("bipartite_consecutive", 10, 4): 3260 - 17,
             # cells at n >= 10, where the candidate sets are widest
-            ("general", 11, 2): 6658, ("general", 12, 1): 41,
-            ("bipartite_free", 10, 0): 1425, ("bipartite_free", 10, 2): 3261,
-            ("bipartite_alternating", 10, 4): 841,
-            ("bipartite_consecutive", 11, 2): 4553,
-            ("bipartite_consecutive", 12, 1): 8643}
+            ("general", 11, 2): 6658 - 11, ("general", 12, 1): 41 - 12,
+            ("bipartite_free", 10, 0): 1425 - 225, ("bipartite_free", 10, 2): 3261 - 201,
+            ("bipartite_alternating", 10, 4): 841 - 10,
+            ("bipartite_consecutive", 11, 2): 4553 - 18,
+            ("bipartite_consecutive", 12, 1): 8643 - 21}
     got = {cell: max_edges(cell[1], cell[2], cell[0]).nodes_explored for cell in want}
     assert got == want
 
 
 # sha256 over the budget-cut runs below of (mode, n, k, budget, max_edges,
-# nodes_explored, witness edges, coloring), frozen when the vertex term
-# came in: a search that stops early must stop at the same node with the
-# same incumbent.
-BUDGET_CUT_DIGEST = "1ad26ad111792ea2919ee34afe2e7cb95601433510818cc7ba206f1b91b3d563"
+# nodes_explored, witness edges, coloring), frozen when the search's root
+# came to hold the candidates that cross nothing: a search that stops
+# early must stop at the same node with the same incumbent.
+BUDGET_CUT_DIGEST = "bbdfcc3d3cdffe7f49cce9092e455db659e7a6036be8d84aeb8a746bb0d5147e"
 
 
 def test_budget_cut_incumbents_frozen():
@@ -520,7 +536,7 @@ def test_packed_live_degrees_match_popcounts(rng):
     # per-vertex popcounts, is at most the incumbent: with th1 = best -
     # opt(n - 1) + 1, some live degree is below th1
     for _, n, coloring in every_search_coloring(range(2, 13)):
-        cands, _, words, _ = _view(n, coloring)
+        cands, _, words, *_ = _view(n, coloring)
         *_, ones, guard = _problem(n)
         f = (n - 1).bit_length() + 1
         vmask = [sum(1 << i for i, e in enumerate(cands) if v in e) for v in range(n)]
