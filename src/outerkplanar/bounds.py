@@ -56,12 +56,14 @@ SQRT2 = math.sqrt(2.0)
 DEFAULT_K_MIN = 176
 
 
-def _check_nk(n: int, k: int) -> tuple[int, int]:
+def _check_nk(n: int, k: int, k_min: int = 0) -> tuple[int, int]:
     n, k = operator.index(n), operator.index(k)
     if n < 1:
         raise ValueError("n must be positive")
     if k < 0:
         raise ValueError("k must be non-negative")
+    if operator.index(k_min) < 0:
+        raise ValueError("k_min must be non-negative")
     return n, k
 
 
@@ -262,14 +264,14 @@ def _small_k(n: int, k: int) -> float:
 class _Bound(NamedTuple):
     """One edge bound: a row of the bound table.
 
-    The window is n >= n_from and k_from <= k <= k_to; a ``gated`` row
-    also needs k >= k_min, the caller's "sufficiently large k" threshold
-    (k_from None: no floor of its own).  A lower row's construction may
-    narrow the window by raising NotApplicableError.  Inside the window
-    the row's status holds, except at the k in ``conditional_k``.
-    ``valid_when`` is the report's prose for a window that is more than a
-    lower end on k, and ``stated`` the looser headline form used under
-    strict_statement.
+    The window is n >= n_from, k <= k_to if set, and k >= k_from; a
+    ``gated`` row's floor is max(k_from, k_min), where k_min is the
+    caller's "sufficiently large k" threshold.  ``refusal`` is the one
+    test of the window.  A lower row's construction may narrow the window
+    by raising NotApplicableError.  Inside the window the row's status
+    holds, except at the k in ``conditional_k``.  ``valid_when`` is the
+    report's prose for a window that is more than a lower end on k, and
+    ``stated`` the looser headline form used under strict_statement.
     """
 
     family: str  # "general" or "bipartite"
@@ -278,7 +280,7 @@ class _Bound(NamedTuple):
     formula: Callable[[int, int], float]
     source: str
     n_from: int = 1
-    k_from: int | None = 0
+    k_from: int = 0
     k_to: int | None = None
     gated: bool = False
     status: str = "yes"
@@ -288,32 +290,27 @@ class _Bound(NamedTuple):
 
     def k_low(self, k_min: int) -> int:
         """The lower end of the k window under the caller's k_min."""
-        if not self.gated:
-            return self.k_from
-        return k_min if self.k_from is None else max(self.k_from, k_min)
+        return max(self.k_from, k_min) if self.gated else self.k_from
 
-    def evaluate(self, n: int, k: int, low: int, stated: bool = False) -> float:
-        """The row's value at (n, k); NotApplicableError outside the window."""
+    def refusal(self, n: int, k: int, k_min: int, why: bool = True) -> str | None:
+        """None inside the window, else NotApplicableError's message ("" if not why)."""
+        low = self.k_low(k_min)
         if n < self.n_from:
-            raise NotApplicableError(
-                f"{self.name} assumes n >= {self.n_from} (got n={n})")
-        if self.k_to is not None and k > self.k_to:
-            raise NotApplicableError(
-                f"{self.name} covers k <= {self.k_to} only (got k={k})")
-        if k < low:
-            raise NotApplicableError(f"{self.name} requires k >= {low} (got k={k})")
-        if stated and self.stated is not None:
-            return self.stated(n, k)
-        return self.formula(n, k)
+            message = "{0.name} assumes n >= {0.n_from} (got n={1})"
+        elif self.k_to is not None and k > self.k_to:
+            message = "{0.name} covers k <= {0.k_to} only (got k={2})"
+        elif k < low:
+            message = "{0.name} requires k >= {3} (got k={2})"
+        else:
+            return None
+        return message.format(self, n, k, low) if why else ""
 
     def at(self, n: int, k: int, k_min: int, stated: bool = False) -> tuple[float | None, str]:
         """The row's value and ``valid`` flag at (n, k), as reported."""
-        low = self.k_low(k_min)
-        # evaluate's window test, without raising at every cell outside it
-        if n < self.n_from or k < low or (self.k_to is not None and k > self.k_to):
+        if self.refusal(n, k, k_min, why=False) is not None:
             return None, "no"
         try:
-            value = self.evaluate(n, k, low, stated)
+            value = (self.stated if stated and self.stated else self.formula)(n, k)
         except NotApplicableError:  # a lower row's construction narrowed the window
             return None, "no"
         return value, "conditional" if k in self.conditional_k else self.status
@@ -355,7 +352,7 @@ _BOUNDS = (
            "bipartite convex-position crossing lemma", k_from=5),
     _Bound("bipartite", "upper", "local",
            lambda n, k: 2.0 * math.sqrt(8.0 / 11.0) * math.sqrt(k) * n,
-           "bipartite max-min-degree splitting", k_from=None, gated=True),
+           "bipartite max-min-degree splitting", gated=True),
     _Bound("bipartite", "lower", "alternating",
            lambda n, k: float(bipartite_lower(n, k, "alternating").value),
            "alternating complete-bipartite chain",
@@ -373,11 +370,23 @@ BIPARTITE_UPPER_VARIANTS = tuple(name for family, name in _UPPER_ROWS if family 
 
 def _upper(family: str, n: int, k: int, variant: str, k_min: int,
            stated: bool = False) -> float:
-    n, k = _check_nk(n, k)
+    n, k = _check_nk(n, k, k_min)
     row = _UPPER_ROWS.get((family, variant))
     if row is None:
         raise ValueError(f"unknown variant {variant!r}")
-    return row.evaluate(n, k, row.k_low(k_min), stated)
+    why = row.refusal(n, k, k_min)
+    if why is not None:
+        raise NotApplicableError(why)
+    return row.at(n, k, k_min, stated)[0]
+
+
+def _least_upper(n: int, k: int, bipartite: bool) -> float:
+    """The least upper value at (n, k) that a report marks ``valid: yes``,
+    in the stated form, over the general rows and for a bipartite graph the
+    bipartite rows too; inf if none holds.  Builds no report."""
+    cells = (row.at(n, k, DEFAULT_K_MIN, stated=True) for row in _UPPER_ROWS.values()
+             if bipartite or row.family == "general")
+    return min((value for value, valid in cells if valid == "yes"), default=math.inf)
 
 
 def general_upper(n: int, k: int, variant: str = "common", *, k_min: int = DEFAULT_K_MIN) -> float:
@@ -438,7 +447,7 @@ class BoundReport(NamedTuple):
 
 def bound_report(n: int, k: int, *, bipartite: bool = False, k_min: int = DEFAULT_K_MIN) -> BoundReport:
     """Evaluate every bound of one family at (n, k) with validity flags."""
-    n, k = _check_nk(n, k)
+    n, k = _check_nk(n, k, k_min)
     family = "bipartite" if bipartite else "general"
     entries = []
     for row in _BOUNDS:

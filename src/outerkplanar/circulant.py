@@ -215,18 +215,24 @@ def lemma_maxcut_bound(spec: CirculantSpec, refined: bool = False) -> float:
     return float(r * n)
 
 
-def _check_sides(spec: CirculantSpec, sides) -> tuple[int, ...]:
-    sides = tuple(int(s) for s in sides)
-    if len(sides) != spec.n:
-        raise ValueError("side vector length must equal n")
-    if any(s not in (0, 1) for s in sides):
-        raise ValueError("sides must be 0 or 1")
-    return sides
+def _zero_one(bits) -> tuple[int, ...]:
+    """A "01" string, or a sequence of ints, bools or numpy ints, as a tuple
+    of 0s and 1s.  A float entry raises TypeError, so nothing is truncated;
+    any other entry than 0 or 1 raises ValueError."""
+    if isinstance(bits, str):
+        seq = tuple("01".find(ch) for ch in bits)  # -1 for any other character
+    else:
+        seq = tuple(map(operator.index, bits))
+    if any(b not in (0, 1) for b in seq):
+        raise ValueError("entries must be 0 or 1")
+    return seq
 
 
 def cut_value(spec: CirculantSpec, sides) -> int:
     """Edges of C_n^{1..r} whose endpoints get different sides."""
-    sides = _check_sides(spec, sides)
+    sides = _zero_one(sides)
+    if len(sides) != spec.n:
+        raise ValueError("side vector length must equal n")
     n, r = spec.n, spec.r
     total = 0
     for d in range(1, r + 1):
@@ -306,19 +312,16 @@ def exact_maxcut(spec: CirculantSpec) -> Cut:
 def xor_sum(bits, r: int, mode: str = "cyclic") -> int:
     """sum_i sum_{j=-r..r} s_i xor s_{i+j} over a bit-string.
 
-    ``bits`` may be a string like "0101" or any sequence of 0/1.  In
-    cyclic mode indices wrap modulo the length; in bounded mode
+    ``bits`` may be a string like "0101" or any sequence of 0/1 integers.
+    In cyclic mode indices wrap modulo the length; in bounded mode
     out-of-range pairs are simply dropped.  The j = 0 terms are always
     zero.  In cyclic mode with 2r < len(bits) the sum is exactly twice
     the cut value of the corresponding side assignment of C_n^{1..r}.
     """
-    if isinstance(bits, str):
-        if bits == "" or any(ch not in "01" for ch in bits):
-            raise ValueError("bit-string must be non-empty over {0, 1}")
-    else:
-        seq = [int(b) for b in bits]
-        if not seq or any(b not in (0, 1) for b in seq):
-            raise ValueError("bits must be a non-empty 0/1 sequence")
+    seq = _zero_one(bits)
+    if not seq:
+        raise ValueError("bits must be non-empty")
+    if not isinstance(bits, str):
         bits = "".join(map(str, seq))
     r = operator.index(r)
     if r < 1:

@@ -42,6 +42,7 @@ low-degree vertex".
 from __future__ import annotations
 
 import json
+import operator
 from bisect import bisect_right
 from functools import partial
 from heapq import heapify, heappop, heappush
@@ -259,7 +260,7 @@ def max_crossing(g: ConvexGraph) -> int:
 
 def is_outer_k_planar(g: ConvexGraph, k: int) -> bool:
     """True iff every edge is crossed at most k times."""
-    if k < 0:
+    if operator.index(k) < 0:
         raise ValueError("k must be non-negative")
     return max_crossing(g) <= k
 
@@ -309,13 +310,16 @@ def greedy_color(g: ConvexGraph, order: list[int] | None = None) -> tuple[dict[i
 
     Each vertex gets the smallest color absent from its already-colored
     neighbors, so the color count never exceeds degeneracy + 1.  A caller
-    that already holds ``degeneracy_order(g)[0]`` may pass it as ``order``.
-    The colors taken around a vertex are one int mask; its lowest clear bit
-    is the vertex's color.
+    that already holds ``degeneracy_order(g)[0]`` may pass it as ``order``,
+    which must be a permutation of 0..n-1 (ValueError otherwise).  The
+    colors taken around a vertex are one int mask; its lowest clear bit is
+    the vertex's color.
     """
     adj = g._neighbours()
     if order is None:
         order, _ = degeneracy_order(g)
+    elif len(order) != len(adj) or set(order) != set(range(len(adj))):
+        raise ValueError("order must be a permutation of the vertices 0..n-1")
     color = [-1] * len(adj)  # -1 until colored
     colors: dict[int, int] = {}
     for v in reversed(order):

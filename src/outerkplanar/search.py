@@ -76,7 +76,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from ._optima import _PROVEN_OPTIMA
-from .bounds import _BOUNDS, DEFAULT_K_MIN
+from .bounds import _least_upper
 from .errors import BudgetExceededError
 from .geometry import (
     ConvexGraph,
@@ -124,27 +124,15 @@ def canonical_form(g: ConvexGraph) -> tuple[tuple[int, int], ...]:
 
 @functools.cache
 def _static_upper(n: int, k: int, bipartite: bool) -> int:
-    """Floor of the smallest unconditionally valid closed-form upper bound.
-
-    The bounds are the upper rows of the bound table that ``bound_report``
-    marks ``valid: yes`` (so never a conditional value): the general rows,
-    and in a bipartite search the bipartite rows as well.  They are read
-    from the table directly, because building whole reports would add a
-    noticeable share to the smallest searches.  Rows are evaluated in
-    their weaker stated form (``strict_statement``), which keeps pruning
-    sound under either bipartite small-k constant.
-    """
+    """Floor of the least of C(n, 2) and ``bounds._least_upper``, the least
+    upper bound that ``bound_report`` marks ``valid: yes`` (never a
+    conditional one), in the weaker stated form, which keeps pruning sound
+    under either bipartite small-k constant."""
     if k > (n - 2) ** 2 // 4:
         # a chord with s points on one side is crossed at most s(n-2-s) times,
         # so every graph qualifies; the float rows might overflow at this k
         return math.comb(n, 2)
-    vals = [float(math.comb(n, 2))]
-    for row in _BOUNDS:
-        if row.kind == "upper" and (bipartite or row.family == "general"):
-            value, valid = row.at(n, k, DEFAULT_K_MIN, stated=True)
-            if valid == "yes":
-                vals.append(value)
-    return math.floor(min(vals))
+    return math.floor(min(math.comb(n, 2), _least_upper(n, k, bipartite)))
 
 
 class _Problem(NamedTuple):

@@ -58,6 +58,13 @@ def test_validity_windows():
         general_upper(1000, 2, "direct", k_min=0)
     with pytest.raises(ValueError):
         general_upper(10, 1, "newest")
+    # a negative k_min is refused, as the CLI refuses --k-threshold -1
+    for call in (lambda: general_upper(1000, 200, "direct", k_min=-1),
+                 lambda: bipartite_upper(10, 3, "local", k_min=-5),
+                 lambda: bound_report(10, 3, bipartite=True, k_min=-5),
+                 lambda: bound_report(10, 3, k_min=-1)):
+        with pytest.raises(ValueError, match="k_min"):
+            call()
     # counts must be integers: numpy ints pass as plain ints, nothing is truncated
     import numpy as np
 
@@ -67,7 +74,9 @@ def test_validity_windows():
     for call in (lambda: general_upper(100.9, 25.7), lambda: general_upper(100, 25.0),
                  lambda: bipartite_upper("100", 25), lambda: bound_report(10.5, 2),
                  lambda: crossing_lemma_lower(10.5, 50.5), lambda: crossing_lemma_lower(10, "50"),
-                 lambda: maxmindeg_bound(1.5), lambda: maxmindeg_bound("1")):
+                 lambda: maxmindeg_bound(1.5), lambda: maxmindeg_bound("1"),
+                 lambda: bound_report(10, 3, bipartite=True, k_min=2.5),
+                 lambda: general_upper(1000, 200, "direct", k_min="3")):
         with pytest.raises(TypeError):
             call()
 

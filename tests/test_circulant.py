@@ -189,6 +189,11 @@ def test_cut_value_checks():
         cut_value(spec, (0, 1, 0))
     with pytest.raises(ValueError):
         cut_value(spec, (0, 1, 2, 0, 1, 0, 1, 0))
+    # entries are integers: a float is refused, never truncated to 0 or 1
+    assert cut_value(spec, "01010101") == cut_value(spec, np.array([0, 1] * 4)) == 8
+    for sides in ([0.9, 1.7, 0, 1, 0, 1, 0, 1], [0.0, 1.0] * 4, np.array([0.0, 1.0] * 4)):
+        with pytest.raises(TypeError):
+            cut_value(spec, sides)
 
 
 def test_exact_maxcut_frozen():
@@ -327,3 +332,6 @@ def test_xor_sum_rejects_bad_input():
             xor_sum("0101", r)
     with pytest.raises(ValueError):
         xor_sum([0, 1, 1], 1, mode="torus")
+    for bits in ([0.5, 1, 1, 0], [0.0, 1.0], np.array([0.0, 1.0, 1.0]), ["0", "1"]):
+        with pytest.raises(TypeError):
+            xor_sum(bits, 1)

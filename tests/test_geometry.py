@@ -145,6 +145,15 @@ def test_outer_k_planar_k5():
     assert max_crossing(g) == 2
     assert is_outer_k_planar(g, 2)
     assert not is_outer_k_planar(g, 1)
+    # k is an integer: a numpy int passes, a float or a string is refused
+    import numpy as np
+
+    assert is_outer_k_planar(g, np.int64(2)) and not is_outer_k_planar(g, True)
+    for k in (0.5, 2.0, "1", None):
+        with pytest.raises(TypeError):
+            is_outer_k_planar(g, k)
+    with pytest.raises(ValueError):
+        is_outer_k_planar(g, -1)
 
 
 def test_degeneracy_small_exhaustive(rng):
@@ -210,7 +219,9 @@ def _greedy_color_by_sets(g, order):
 
 def test_greedy_color_matches_the_set_rule(rng):
     """Same colors, in the same dict order, and the same count, under the
-    degeneracy order and under shuffled orders of all or some vertices."""
+    degeneracy order and under a shuffled order of the vertices.  An order
+    that is not a permutation of 0..n-1 (partial, with a duplicate, or out
+    of range) would leave vertices uncoloured, so it is refused."""
     graphs = [ConvexGraph(n, random_graph(rng, n, p=rng.random()))
               for n in (rng.randrange(2, 40) for _ in range(40))]
     graphs += [_sparse_graph_with_isolated_vertices(rng, rng.randrange(31, 120))
@@ -219,10 +230,14 @@ def test_greedy_color_matches_the_set_rule(rng):
     for g in graphs:
         order, _ = degeneracy_order(g)
         shuffled = rng.sample(range(g.n), g.n)
-        for o in (order, shuffled, shuffled[: g.n // 2], []):
+        for o in (order, shuffled):
             got = greedy_color(g, o)
             want = _greedy_color_by_sets(g, o)
             assert got == want and list(got[0].items()) == list(want[0].items()), (g, o)
+        for o in (shuffled[: g.n // 2], [*shuffled, shuffled[0]], [*shuffled[1:], shuffled[1]],
+                  [*shuffled[1:], g.n], [*shuffled[1:], -1]):
+            with pytest.raises(ValueError):
+                greedy_color(g, o)
 
 
 def test_bipartition():
