@@ -41,7 +41,6 @@ __all__ = [
     "general_upper",
     "epsilon_for",
     "general_lower",
-    "general_lower_closed_form",
     "crossing_lemma_lower",
     "bipartite_upper",
     "bipartite_lower",
@@ -73,9 +72,14 @@ def epsilon_for(k) -> float:
     The recursion behind the direct variant needs
     (sqrt(2)*k - 2*sqrt(k)) * eps > (5*sqrt(2)/2)*sqrt(k) - 1,
     whose infimum this returns.  The denominator is positive only for
-    k > 2.  Decreases monotonically and tends to 0 like 2.5/sqrt(k).
+    k > 2.  Decreases monotonically and tends to 0 like 2.5/sqrt(k).  k is
+    a real number: text raises TypeError, an infinite or NaN k ValueError.
     """
+    if isinstance(k, (str, bytes, bytearray)):
+        raise TypeError(f"k must be a number, not {type(k).__name__}")
     k = float(k)
+    if not math.isfinite(k):
+        raise ValueError("k must be finite")
     if k <= 2:
         raise NotApplicableError("epsilon_for requires k > 2")
     num = (5.0 * SQRT2 / 2.0) * math.sqrt(k) - 1.0
@@ -106,7 +110,9 @@ def general_lower(n: int, k: int) -> LowerBoundValue:
     Admissible parameters have k = ((x-2)/2)^2 for even x (k a perfect
     square) and (n-2) divisible by x-2.  Inadmissible queries fall back
     to the largest admissible k' <= k and n' <= n and are flagged
-    inexact.  The count is blocks*C(x,2) - (blocks-1).
+    inexact.  The count is blocks*C(x,2) - (blocks-1); at admissible
+    (n, k), that is k = s*s and n - 2 a positive multiple of 2s, it is
+    exactly (sqrt(k) + 3/2)*n - 2*sqrt(k) - 2.
     """
     n, k = _check_nk(n, k)
     if k < 1:
@@ -129,17 +135,6 @@ def general_lower(n: int, k: int) -> LowerBoundValue:
         exact=(n_used == n and k_used == k),
         kind="chain",
     )
-
-
-def general_lower_closed_form(n: int, k: int) -> float:
-    """Simplified closed form n*sqrt(k) + 3n - 2*sqrt(k) of the chain count.
-
-    Kept for reference only: the simplification is inconsistent with the
-    exact block count (already at k=1 it disagrees with the table value),
-    so nothing in this package treats it as a valid bound.
-    """
-    n, k = _check_nk(n, k)
-    return n * math.sqrt(k) + 3.0 * n - 2.0 * math.sqrt(k)
 
 
 # flavor -> (bound, least admissible m as a function of n, whether m must
@@ -336,10 +331,6 @@ _BOUNDS = (
     _Bound("general", "lower", "chain",
            lambda n, k: float(general_lower(n, k).value), "complete-block chain",
            valid_when="k >= 1, n >= 4 (rounded down to admissible parameters)"),
-    _Bound("general", "lower", "chain_closed_form", general_lower_closed_form,
-           "complete-block chain", status="reference",
-           valid_when="reference only: simplified closed form, "
-                      "inconsistent with the exact count"),
     _Bound("bipartite", "upper", "small_k",
            lambda n, k: ((k + 3.5) * n - (2 * k + 6)) / 2.0,
            "small-k charging argument", n_from=3, k_to=4,

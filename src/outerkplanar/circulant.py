@@ -195,8 +195,6 @@ def mercer_min_bound(r: int) -> float:
     -r/2; that is exactly what the refined max-cut bound needs.
     """
     r = operator.index(r)
-    if r < 2:
-        raise ValueError("needs r >= 2")
     return min(-5.0 / 12.0, mercer_inner(r)) * r
 
 

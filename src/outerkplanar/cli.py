@@ -144,20 +144,9 @@ def _load_graph(path: str):
 
 
 def _report_payload(report, precision: int) -> dict:
-    entries = []
-    for e in report.entries:
-        entries.append(
-            {
-                "name": e.name,
-                "kind": e.kind,
-                "value": None if e.value is None else _num(e.value, precision),
-                "valid": e.valid,
-                "valid_when": e.valid_when,
-                "source": e.source,
-            }
-        )
-    return {"n": report.n, "k": report.k, "family": report.family,
-            "entries": entries}
+    entries = [{**e._asdict(), "value": None if e.value is None else _num(e.value, precision)}
+               for e in report.entries]
+    return {**report._asdict(), "entries": entries}
 
 
 def _csv(header, rows) -> str:

@@ -275,10 +275,12 @@ def upper_prune(n: int, k: int, state, remaining, *, bipartite: bool = False) ->
     is added where the table holds opt(n - 1, k).  ``bipartite`` selects
     the closed-form bounds and the smaller optimum of a bipartite search.
     The bound never undercuts the best completion of ``state`` by edges of
-    ``remaining``.  n and k are integers as for ``max_edges``, but n may
-    exceed ``MAX_SEARCH_N``; the first call at an n builds its lasting
-    ``_problem`` record."""
+    ``remaining``.  n and k are integers as for ``max_edges``, and n >= 2,
+    but n may exceed ``MAX_SEARCH_N``; the first call at an n builds its
+    lasting ``_problem`` record."""
     n, k = operator.index(n), operator.index(k)
+    if n < 2:
+        raise ValueError(f"upper_prune needs n >= 2 (got n={n})")
     if k < 0:
         raise ValueError("k must be non-negative")
     chords, index, cross, *_ = _problem(n)

@@ -15,7 +15,6 @@ from outerkplanar import (
     crossing_lemma_lower,
     epsilon_for,
     general_lower,
-    general_lower_closed_form,
     general_upper,
     maxmindeg_bound,
 )
@@ -98,6 +97,13 @@ def test_epsilon():
     assert epsilon_for(5000) == pytest.approx(0.03593256908478579, rel=1e-9)
     with pytest.raises(NotApplicableError):
         epsilon_for(2)
+    assert epsilon_for(50.0) == e50 and epsilon_for(2.5) > 0
+    for k in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^k must be finite$"):
+            epsilon_for(k)
+    for k in ("50", "nan", b"50"):
+        with pytest.raises(TypeError):
+            epsilon_for(k)
     ks = [3, 5, 10, 50, 176, 1000, 10**4, 10**5, 10**6]
     vals = [epsilon_for(k) for k in ks]
     assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -156,10 +162,14 @@ def test_general_lower_matches_stepping_down():
             assert (lo.value, lo.n_used, lo.k_used, lo.exact, lo.kind) == want, (n, k)
 
 
-def test_closed_form_is_reference_only():
-    # kept for comparison; it overshoots the true chain count badly
-    assert general_lower_closed_form(10, 1) == pytest.approx(38.0)
-    assert general_lower_closed_form(10, 1) > general_lower(10, 1).value
+def test_general_lower_formula_at_admissible_cells():
+    # general_lower's docstring: at k = s*s with n - 2 a positive multiple
+    # of 2s, the chain has exactly (sqrt(k) + 3/2)*n - 2*sqrt(k) - 2 edges
+    for s in range(1, 12):
+        for blocks in range(1, 60):
+            n, k = blocks * 2 * s + 2, s * s
+            lo = general_lower(n, k)
+            assert lo.exact and 2 * lo.value == (2 * s + 3) * n - 4 * s - 4, (n, k)
 
 
 def test_crossing_lemma_values():
@@ -271,14 +281,12 @@ def test_report_structure():
     rep = bound_report(100, 4)
     assert rep.family == "general"
     names = [e.name for e in rep.entries]
-    assert names == ["small_k", "lazy", "common", "local", "direct",
-                     "chain", "chain_closed_form"]
+    assert names == ["small_k", "lazy", "common", "local", "direct", "chain"]
     by_name = {e.name: e for e in rep.entries}
     assert by_name["small_k"].valid == "conditional"
     assert by_name["small_k"].value == 344.0
     assert by_name["direct"].valid == "no" and by_name["direct"].value is None
     assert by_name["chain"].valid == "yes"
-    assert by_name["chain_closed_form"].valid == "reference"
 
     rep = bound_report(102, 2, bipartite=True)
     assert rep.family == "bipartite"
@@ -338,7 +346,6 @@ def test_evaluators_agree_with_report():
 # that keeps it out of the consistency claims: (family, name) -> (status,
 # the cells (n, k) it is allowed to contradict).
 _KNOWN_CONTRADICTIONS = {
-    ("general", "chain_closed_form"): ("reference", lambda n, k: True),
     ("general", "small_k"): ("conditional", lambda n, k: (n, k) in ((6, 3), (10, 3))),
     ("bipartite", "consecutive"): ("reference", lambda n, k: n == 3 and k >= 2),
 }

@@ -36,8 +36,7 @@ def test_bounds_report_json():
     assert code == 0
     assert (payload["n"], payload["k"], payload["family"]) == (100, 1, "general")
     names = [e["name"] for e in payload["entries"]]
-    assert names == ["small_k", "lazy", "common", "local", "direct",
-                     "chain", "chain_closed_form"]
+    assert names == ["small_k", "lazy", "common", "local", "direct", "chain"]
     by_name = {e["name"]: e for e in payload["entries"]}
     assert by_name["small_k"]["value"] == 246
     assert by_name["lazy"]["valid"] == "no" and by_name["lazy"]["value"] is None
@@ -51,7 +50,7 @@ def test_bounds_report_csv():
     assert code == 0
     lines = text.splitlines()
     assert lines[0] == "name,kind,value,valid,source"
-    assert len(lines) == 8  # header + 7 entries
+    assert len(lines) == 7  # header + 6 entries
     assert text.endswith("\n")
 
 
@@ -100,11 +99,12 @@ def test_byte_stability():
 # sha256 of sweep stdout over n 2..60, k 0..40 with --k-threshold 3, per
 # (family, format).  A deliberate change to a bound (a value, window or
 # status) changes these digests; update them in the same change and say so
-# in CHANGES.md.  The general ones were last regenerated when the k = 3
-# small-k row became conditional: (6,3) and (10,3) beat 3.25n - 6.
+# in CHANGES.md.  The general ones were last regenerated when the chain's
+# refuted closed-form row was deleted, from the previous output with those
+# rows filtered out.
 SWEEP_DIGESTS = {
-    ("general", "json"): "2d1df65344deb140714329e33b58d34edba7fa5cd0e34e79d2a072616ff005d3",
-    ("general", "csv"): "b7db18a9722d73496543d9fdf28874213d2b80a1522e8a666af7d2b6f1106782",
+    ("general", "json"): "13dbb73cea0da77d30b5c54e078b88f59bc373c008388d39c4ecf9457e776bf5",
+    ("general", "csv"): "278ff6e1838b0627b1bc6ca1df05c6688ad1ddc3e0f7269c7e0db325a55ca6e0",
     ("bipartite", "json"): "a88e1aeb2f48036896050b9393886e5df4d78fa00ebe3083a05f7cc973f12734",
     ("bipartite", "csv"): "cea6235c0771a3377d7a6406e8cc083aff9711fd6bb2abebf250d3ff825508cd",
 }
@@ -348,10 +348,22 @@ def test_search_basic():
     assert len(payload["witness"]["edges"]) == 12
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_bounds_example():
+    """The README's `bounds` examples show exactly what the commands print."""
+    readme = README.read_text(encoding="utf-8")
+    for command in ("$ outerkplanar bounds --n 100 --k 2 --format csv\n",
+                    "$ outerkplanar bounds --n 100 --k 1 --variant small_k\n"):
+        shown = readme[readme.index(command) + len(command):].split("\n\n", 1)[0]
+        assert invoke(*command[len("$ outerkplanar "):].split()) == (0, shown + "\n")
+
+
 def test_readme_search_example():
     """The README's `search` example prints what the command prints; the
     lines the README elides with "..." are not compared."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     command = "$ outerkplanar search --n 8 --k 2\n"
     block = readme[readme.index(command) + len(command):].split("\n}\n", 1)[0]
     code, payload = invoke_json(*command[len("$ outerkplanar "):].split())
@@ -496,7 +508,7 @@ def test_sweep_csv():
     assert code == 0
     lines = text.splitlines()
     assert lines[0] == "n,k,bound_name,value,valid"
-    assert len(lines) == 1 + 2 * 7  # two n values, seven entries each
+    assert len(lines) == 1 + 2 * 6  # two n values, six entries each
     assert lines[1].startswith("10,1,small_k,")
 
 

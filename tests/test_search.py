@@ -241,6 +241,11 @@ def test_upper_prune_examples():
         upper_prune(8.0, 2, [], [(0, 1)])
     with pytest.raises(ValueError, match="^k must be non-negative$"):
         upper_prune(8, -1, [], [(0, 1)])
+    cached = _problem.cache_info().currsize
+    for n in (1, 0, -1):
+        with pytest.raises(ValueError, match=r"^upper_prune needs n >= 2 \(got n="):
+            upper_prune(n, 0, [], [])
+    assert _problem.cache_info().currsize == cached
     assert upper_prune(np.int64(6), np.int64(0), [], hull6 + chords6) == 9
 
 
