@@ -23,6 +23,7 @@ The bipartite small-k constant deserves a note: the derivation yields
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import Callable, NamedTuple
@@ -264,9 +265,10 @@ class _Bound(NamedTuple):
     caller's "sufficiently large k" threshold.  ``refusal`` is the one
     test of the window.  A lower row's construction may narrow the window
     by raising NotApplicableError.  Inside the window the row's status
-    holds, except at the k in ``conditional_k``.  ``valid_when`` is the
-    report's prose for a window that is more than a lower end on k, and
-    ``stated`` the looser headline form used under strict_statement.
+    holds, except at the k in ``conditional_k`` and ``refuted_k``.
+    ``valid_when`` is the report's prose for a window that is more than a
+    lower end on k, and ``stated`` the looser headline form used under
+    strict_statement.
     """
 
     family: str  # "general" or "bipartite"
@@ -280,6 +282,7 @@ class _Bound(NamedTuple):
     gated: bool = False
     status: str = "yes"
     conditional_k: tuple[int, ...] = ()
+    refuted_k: tuple[int, ...] = ()
     valid_when: str | None = None
     stated: Callable[[int, int], float] | None = None
 
@@ -308,7 +311,8 @@ class _Bound(NamedTuple):
             value = (self.stated if stated and self.stated else self.formula)(n, k)
         except NotApplicableError:  # a lower row's construction narrowed the window
             return None, "no"
-        return value, "conditional" if k in self.conditional_k else self.status
+        return value, ("refuted" if k in self.refuted_k
+                       else "conditional" if k in self.conditional_k else self.status)
 
 
 # At n = 2 the small-k affine forms dip below the single realizable edge,
@@ -316,8 +320,9 @@ class _Bound(NamedTuple):
 # table order.
 _BOUNDS = (
     _Bound("general", "upper", "small_k", _small_k, "small-k table",
-           n_from=3, k_to=4, conditional_k=(3, 4),
-           valid_when="n >= 3 and k <= 2 (k = 3, 4 conditional)"),
+           n_from=3, k_to=4, conditional_k=(4,), refuted_k=(3,),
+           valid_when="n >= 3 and k <= 2 (k = 3 refuted by K_6 minus a long diagonal, "
+                      "k = 4 conditional)"),
     _Bound("general", "upper", "lazy", lambda n, k: 2.85 * math.sqrt(k) * n,
            "two-page doubling + multigraph crossing lemma", k_from=5),
     _Bound("general", "upper", "common",
@@ -371,20 +376,26 @@ def _upper(family: str, n: int, k: int, variant: str, k_min: int,
     return row.at(n, k, k_min, stated)[0]
 
 
-def _least_upper(n: int, k: int, bipartite: bool) -> float:
-    """The least upper value at (n, k) that a report marks ``valid: yes``,
-    in the stated form, over the general rows and for a bipartite graph the
-    bipartite rows too; inf if none holds.  Builds no report."""
+@functools.cache
+def _least_upper(n: int, k: int, bipartite: bool) -> int:
+    """The search's closed-form ceiling: the floor of the least of C(n, 2)
+    and the upper values a report marks ``valid: yes``, over the general
+    rows and, for a bipartite graph, the bipartite rows too.  The stated
+    form keeps it sound under either bipartite small-k constant."""
+    if k > (n - 2) ** 2 // 4:
+        # a chord with s points on one side is crossed at most s(n-2-s) times,
+        # so every graph qualifies; the float rows might overflow at this k
+        return math.comb(n, 2)
     cells = (row.at(n, k, DEFAULT_K_MIN, stated=True) for row in _UPPER_ROWS.values()
              if bipartite or row.family == "general")
-    return min((value for value, valid in cells if valid == "yes"), default=math.inf)
+    return math.floor(min([math.comb(n, 2)] + [value for value, valid in cells if valid == "yes"]))
 
 
 def general_upper(n: int, k: int, variant: str = "common", *, k_min: int = DEFAULT_K_MIN) -> float:
     """Upper bound on edges of an outer k-planar graph on n vertices.
 
     Raises NotApplicableError when the variant's validity window excludes
-    (n, k).  A conditionally established value (``small_k`` at k = 3, 4) is
+    (n, k).  A conditional or refuted value (``small_k`` at k = 4, 3) is
     returned like the others; consumers that need unconditional bounds
     should use the ``valid`` flag of ``bound_report``.
     """
@@ -415,10 +426,10 @@ def bipartite_upper(
 class BoundEntry(NamedTuple):
     """One bound evaluation.
 
-    ``valid`` is "yes", "no", "conditional" (value shown but resting on a
-    conditional result), or "reference" (value shown for comparison only,
-    excluded from any consistency claims).  Entries with valid "no" carry
-    value None.
+    ``valid`` is "yes", "no", "conditional" (resting on a conditional
+    result), "refuted" (a proven optimum exceeds it), or "reference" (for
+    comparison only, excluded from any consistency claims).  Entries with
+    valid "no" carry value None; the others carry the row's value.
     """
 
     name: str

@@ -231,11 +231,7 @@ def cut_value(spec: CirculantSpec, sides) -> int:
     sides = _zero_one(sides)
     if len(sides) != spec.n:
         raise ValueError("side vector length must equal n")
-    n, r = spec.n, spec.r
-    total = 0
-    for d in range(1, r + 1):
-        total += sum(1 for i in range(n) if sides[i] != sides[(i + d) % n])
-    return total
+    return xor_sum(sides, spec.r) // 2  # 2r < n: each cut edge is counted twice
 
 
 class Cut(NamedTuple):

@@ -103,17 +103,14 @@ def _check_precision(args) -> None:
         raise CliError("invalid-flags", "--precision must be at most 1000")
 
 
-def _num(value, precision: int):
-    """Round a real to `precision` significant digits; keep ints exact."""
-    if isinstance(value, int):
-        return value
-    return float(format(float(value), f".{precision}g"))
+def _fmt(value: float, precision: int) -> str:
+    """A real rounded to `precision` significant digits, as text."""
+    return format(value, f".{precision}g")
 
 
-def _fmt(value, precision: int) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return format(float(value), f".{precision}g")
+def _num(value: float, precision: int) -> float:
+    """A real rounded to `precision` significant digits, for JSON."""
+    return float(_fmt(value, precision))
 
 
 def _dump(payload: dict | list) -> str:

@@ -62,15 +62,14 @@ improvement, so repeated runs return byte-identical results, including
 the witness.  The incumbent is the bitset of included candidates, decoded
 to edges once, for the result.  What a search reads that does not depend
 on k is memoized, so a loop over k at one n builds it once: the
-closed-form bound, the bipartite_free colorings, the chords with their
-crossing bitsets and vertex words (``_problem``), and each coloring's
-share of those with its symmetry group (``_view``).
+bipartite_free colorings, the chords with their crossing bitsets and
+vertex words (``_problem``), and each coloring's share of those with its
+symmetry group (``_view``).  The closed-form bound is memoized in ``bounds``.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from itertools import combinations
 from typing import NamedTuple
@@ -109,30 +108,9 @@ class SearchResult(NamedTuple):
 def canonical_form(g: ConvexGraph) -> tuple[tuple[int, int], ...]:
     """Lexicographically least edge list over all 2n dihedral relabelings."""
     n = g.n
-    edges = g.sorted_edges()
-    best = None
-    for sign in (1, -1):
-        for t in range(n):
-            relabeled = sorted(
-                tuple(sorted(((sign * a + t) % n, (sign * b + t) % n)))
-                for a, b in edges
-            )
-            if best is None or relabeled < best:
-                best = relabeled
-    return tuple(best) if best is not None else ()
-
-
-@functools.cache
-def _static_upper(n: int, k: int, bipartite: bool) -> int:
-    """Floor of the least of C(n, 2) and ``bounds._least_upper``, the least
-    upper bound that ``bound_report`` marks ``valid: yes`` (never a
-    conditional one), in the weaker stated form, which keeps pruning sound
-    under either bipartite small-k constant."""
-    if k > (n - 2) ** 2 // 4:
-        # a chord with s points on one side is crossed at most s(n-2-s) times,
-        # so every graph qualifies; the float rows might overflow at this k
-        return math.comb(n, 2)
-    return math.floor(min(math.comb(n, 2), _least_upper(n, k, bipartite)))
+    return tuple(min(sorted(tuple(sorted(((sign * a + t) % n, (sign * b + t) % n)))
+                            for a, b in g.edges)
+                     for sign in (1, -1) for t in range(n)))
 
 
 class _Problem(NamedTuple):
@@ -275,12 +253,12 @@ def upper_prune(n: int, k: int, state, remaining, *, bipartite: bool = False) ->
     is added where the table holds opt(n - 1, k).  ``bipartite`` selects
     the closed-form bounds and the smaller optimum of a bipartite search.
     The bound never undercuts the best completion of ``state`` by edges of
-    ``remaining``.  n and k are integers as for ``max_edges``, and n >= 2,
-    but n may exceed ``MAX_SEARCH_N``; the first call at an n builds its
-    lasting ``_problem`` record."""
+    ``remaining``.  n and k are integers as for ``max_edges``, with
+    2 <= n <= ``MAX_SEARCH_N``: the first call at an n builds its lasting
+    ``_problem`` record, whose C(n, 4) crossing table grows as n^4."""
     n, k = operator.index(n), operator.index(k)
-    if n < 2:
-        raise ValueError(f"upper_prune needs n >= 2 (got n={n})")
+    if not 2 <= n <= MAX_SEARCH_N:
+        raise ValueError(f"upper_prune supports 2 <= n <= {MAX_SEARCH_N} (got n={n})")
     if k < 0:
         raise ValueError("k must be non-negative")
     chords, index, cross, *_ = _problem(n)
@@ -306,7 +284,7 @@ def upper_prune(n: int, k: int, state, remaining, *, bipartite: bool = False) ->
             feas |= 1 << i
             layers[cost] |= 1 << i
     ub = _node_bound(len(state_bits), feas.bit_count(), layers, cap,
-                     _static_upper(n, k, bipartite))
+                     _least_upper(n, k, bipartite))
     opt1 = _smaller_optimum(n, k, "bipartite_free" if bipartite else "general")
     if opt1 is None:
         return ub
@@ -329,12 +307,14 @@ class _Incumbent:
         self.best_coloring = None if warm is None else warm.coloring
         self.warm = warm
 
-    def witness(self, n: int) -> ConvexGraph:
-        if self.best_bits is None:
-            return self.warm
-        cands = _view(n, self.best_coloring).cands
-        return ConvexGraph(n, [e for i, e in enumerate(cands) if self.best_bits >> i & 1],
-                           self.best_coloring)
+    def result(self, settings: dict, proven: bool) -> SearchResult:
+        n = settings["n"]
+        witness = self.warm
+        if self.best_bits is not None:
+            cands = _view(n, self.best_coloring).cands
+            witness = ConvexGraph(n, [e for i, e in enumerate(cands) if self.best_bits >> i & 1],
+                                  self.best_coloring)
+        return SearchResult(self.best, witness, self.nodes, proven, settings)
 
 
 def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
@@ -525,27 +505,16 @@ def max_edges(n: int, k: int, mode: str = "general", *,
     if mode == "bipartite_alternating" and n % 2:
         raise ValueError("alternating mode needs even n")
     settings = {"n": n, "k": k, "mode": mode}
-    bipartite = mode != "general"
-    static_ub = _static_upper(n, k, bipartite)
+    static_ub = _least_upper(n, k, mode != "general")
     opt1 = _smaller_optimum(n, k, mode)
     inc = _Incumbent(node_budget, None if warm_start is None
                      else _validate_warm_start(warm_start, n, k, mode))
-    exceeded = None
     try:
         for coloring in colorings:
             _solve(inc, n, k, coloring, static_ub, opt1)
     except BudgetExceededError as exc:
-        exceeded = exc
-    result = SearchResult(
-        max_edges=inc.best,
-        witness=inc.witness(n),
-        nodes_explored=inc.nodes,
-        proven_optimal=exceeded is None,
-        settings=settings,
-    )
-    if exceeded is not None:
         raise BudgetExceededError(
             f"node budget {node_budget} exceeded (best incumbent {inc.best})",
-            result=result,
-        ) from exceeded
-    return result
+            result=inc.result(settings, proven=False),
+        ) from exc
+    return inc.result(settings, proven=True)

@@ -26,10 +26,11 @@ def test_small_k_table_values():
     assert general_upper(100, 1, "small_k") == 246.0
     assert general_upper(100, 2, "small_k") == 295.0
     assert general_upper(100, 3, "small_k") == 319.0
-    # k = 3 and 4 are the conditional rows: (6,3) and (10,3) have 14 and 27
-    # edges, one more than 3.25n - 6 allows
+    # k = 3 is refuted: (6,3) and (10,3) have 14 and 27 edges, one more than
+    # 3.25n - 6 allows; k = 4 is conditional, and (10,4) = 29 meets it
     assert general_upper(100, 4, "small_k") == 344.0
-    assert {e.name: e.valid for e in bound_report(10, 3).entries}["small_k"] == "conditional"
+    assert {e.name: e.valid for e in bound_report(10, 3).entries}["small_k"] == "refuted"
+    assert {e.name: e.valid for e in bound_report(10, 4).entries}["small_k"] == "conditional"
     with pytest.raises(NotApplicableError):
         general_upper(100, 5, "small_k")
     # at n = 2 the affine forms undercut the single edge
@@ -285,6 +286,9 @@ def test_report_structure():
     by_name = {e.name: e for e in rep.entries}
     assert by_name["small_k"].valid == "conditional"
     assert by_name["small_k"].value == 344.0
+    # a refuted row keeps its value in the report
+    small3 = bound_report(100, 3).entries[0]
+    assert (small3.name, small3.valid, small3.value) == ("small_k", "refuted", 319.0)
     assert by_name["direct"].valid == "no" and by_name["direct"].value is None
     assert by_name["chain"].valid == "yes"
 
@@ -346,7 +350,7 @@ def test_evaluators_agree_with_report():
 # that keeps it out of the consistency claims: (family, name) -> (status,
 # the cells (n, k) it is allowed to contradict).
 _KNOWN_CONTRADICTIONS = {
-    ("general", "small_k"): ("conditional", lambda n, k: (n, k) in ((6, 3), (10, 3))),
+    ("general", "small_k"): ("refuted", lambda n, k: (n, k) in ((6, 3), (10, 3))),
     ("bipartite", "consecutive"): ("reference", lambda n, k: n == 3 and k >= 2),
 }
 

@@ -273,7 +273,10 @@ def test_xor_sum_duality_and_caps(rng):
         bits = "".join(rng.choice("01") for _ in range(n))
         spec = CirculantSpec(n, r)
         cyc = xor_sum(bits, r)
-        assert cyc == 2 * cut_value(spec, [int(b) for b in bits])
+        sides = [int(b) for b in bits]
+        # cut_value counts through xor_sum, so count the cut edge by edge too
+        cut = sum(sides[i] != sides[(i + d) % n] for d in range(1, r + 1) for i in range(n))
+        assert cyc == 2 * cut_value(spec, sides) == 2 * cut
         bounded = xor_sum(bits, r, mode="bounded")
         assert bounded <= cyc <= 2 * r * n
 

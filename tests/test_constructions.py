@@ -20,6 +20,7 @@ from outerkplanar import (
     outercopy,
     outercopy_crossing_counts,
 )
+from outerkplanar._optima import _PROVEN_OPTIMA
 from conftest import crossing_counts_by_subsets, crossing_counts_np
 
 
@@ -195,6 +196,34 @@ def test_kx_chain_fixed_points():
         kx_chain(2, 3)
     with pytest.raises(ValueError):
         kx_chain(4, 0)
+
+
+def test_constructions_stay_within_proven_optima():
+    """No construction on n <= 11 points with maximum crossing k <= 6 has
+    more edges than the search's frozen optimum at (n, k), and none that
+    is coloured more than the bipartite_free optimum; cells off the table
+    are skipped.  Several constructions meet the optimum."""
+    graphs = [*map(complete_graph, range(2, 12)), *map(cycle_graph, range(3, 12)),
+              *map(kxx_alternating, range(1, 6)),
+              *(kx_chain(x, blocks) for x in range(3, 12) for blocks in range(1, 10)),
+              # x = 1 gives the single edge at every block count
+              *(kxx_chain(x, blocks) for x in range(2, 6) for blocks in range(1, 10))]
+    checked = 0
+    for g in graphs:
+        k = max_crossing(g)
+        if g.n > 11 or k > 6:
+            continue
+        for mode in ("general",) if g.coloring is None else ("general", "bipartite_free"):
+            row = _PROVEN_OPTIMA[mode, g.n]
+            if k < len(row):
+                checked += 1
+                assert g.m <= row[k], (mode, g.n, k, g.m, g.sorted_edges())
+    assert checked == 56
+    # tight: two glued K_6 meet opt(10, 4) = 29, and four glued alternating
+    # K_{2,2} the bipartite_free opt(10, 0) = 13
+    g, h = kx_chain(6, 2), kxx_chain(2, 4)
+    assert (max_crossing(g), g.m) == (4, _PROVEN_OPTIMA["general", 10][4]) == (4, 29)
+    assert (max_crossing(h), h.m) == (0, _PROVEN_OPTIMA["bipartite_free", 10][0]) == (0, 13)
 
 
 def test_kxx_alternating():

@@ -242,8 +242,8 @@ def test_upper_prune_examples():
     with pytest.raises(ValueError, match="^k must be non-negative$"):
         upper_prune(8, -1, [], [(0, 1)])
     cached = _problem.cache_info().currsize
-    for n in (1, 0, -1):
-        with pytest.raises(ValueError, match=r"^upper_prune needs n >= 2 \(got n="):
+    for n in (1, 0, -1, 13, 40):
+        with pytest.raises(ValueError, match=r"^upper_prune supports 2 <= n <= 12 \(got n="):
             upper_prune(n, 0, [], [])
     assert _problem.cache_info().currsize == cached
     assert upper_prune(np.int64(6), np.int64(0), [], hull6 + chords6) == 9
@@ -417,7 +417,7 @@ def test_one_crossing_table_per_n():
     max_edges(10, 2, "bipartite_free")
     assert _problem.cache_info().misses == 1
     assert _view.cache_info().misses == len(_canonical_colorings(10))
-    upper_prune(40, 3, [(0, 5), (1, 7)], [(2, 9), (3, 20)])
+    upper_prune(11, 3, [(0, 5), (1, 7)], [(2, 9), (3, 10)])
     assert _problem.cache_info().misses == 2
     assert _view.cache_info().misses == len(_canonical_colorings(10))
 
