@@ -127,15 +127,8 @@ def general_lower(n: int, k: int) -> LowerBoundValue:
     x = 2 * s + 2
     blocks = (n - 2) // (x - 2)
     n_used = blocks * (x - 2) + 2
-    k_used = s * s
-    value = blocks * (x * (x - 1) // 2) - (blocks - 1)
-    return LowerBoundValue(
-        value=value,
-        n_used=n_used,
-        k_used=k_used,
-        exact=(n_used == n and k_used == k),
-        kind="chain",
-    )
+    return LowerBoundValue(value=blocks * (x * (x - 1) // 2) - (blocks - 1), n_used=n_used,
+                           k_used=s * s, exact=n_used == n and s * s == k, kind="chain")
 
 
 # flavor -> (bound, least admissible m as a function of n, whether m must
@@ -203,21 +196,11 @@ def bipartite_lower(n: int, k: int, setting: str = "alternating") -> LowerBoundV
                 f"alternating setting needs n = l*{span}+2 with l >= 1 (got n={n})"
             )
         blocks = (n - 2) // span
-        return LowerBoundValue(
-            value=blocks * x * x - (blocks - 1),
-            n_used=n,
-            k_used=k,
-            exact=True,
-            kind="alternating-chain",
-        )
+        return LowerBoundValue(value=blocks * x * x - (blocks - 1), n_used=n, k_used=k,
+                               exact=True, kind="alternating-chain")
     if setting == "consecutive":
-        return LowerBoundValue(
-            value=math.isqrt(k // 2) * n,
-            n_used=n,
-            k_used=k,
-            exact=False,
-            kind="asymptotic",
-        )
+        return LowerBoundValue(value=math.isqrt(k // 2) * n, n_used=n, k_used=k,
+                               exact=False, kind="asymptotic")
     raise ValueError(f"unknown setting {setting!r}")
 
 
@@ -402,14 +385,8 @@ def general_upper(n: int, k: int, variant: str = "common", *, k_min: int = DEFAU
     return _upper("general", n, k, variant, k_min)
 
 
-def bipartite_upper(
-    n: int,
-    k: int,
-    variant: str = "common",
-    *,
-    strict_statement: bool = False,
-    k_min: int = DEFAULT_K_MIN,
-) -> float:
+def bipartite_upper(n: int, k: int, variant: str = "common", *,
+                    strict_statement: bool = False, k_min: int = DEFAULT_K_MIN) -> float:
     """Upper bound on edges of a bipartite outer k-planar graph.
 
     ``strict_statement`` only affects ``small_k``: it switches the

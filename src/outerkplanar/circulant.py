@@ -31,7 +31,8 @@ s_{i+j} over a bit-string; in cyclic mode with 2r < n it equals exactly
 twice the cut value of the corresponding side assignment of C_n^{1..r}.
 
 Only the array functions (``dirichlet_kernel``, ``dirichlet_kernel_closed``,
-``adjacency_eigenvalue(s)``) load numpy, on their first call.  Everything
+``adjacency_eigenvalue(s)``) load numpy, on their first call, through
+``_numpy``; it is the optional extra ``outerkplanar[arrays]``.  Everything
 else here is pure Python: ``laplacian_lambda_max``, and so ``mohar_bound``,
 takes the largest Laplacian eigenvalue from the closed form over
 j = 1..n//2, so no CLI subcommand imports numpy.  Like ``exact_maxcut``
@@ -93,13 +94,21 @@ class CirculantSpec(NamedTuple("CirculantSpec", [("n", int), ("r", int)])):
         return self.r * self.n
 
 
+def _numpy():
+    try:
+        import numpy
+    except ImportError as exc:
+        raise ImportError("the array functions need numpy: "
+                          "pip install 'outerkplanar[arrays]'") from exc
+    return numpy
+
+
 def dirichlet_kernel(r: int, theta):
     """D_r(theta) = 1 + 2*sum_{k=1..r} cos(k*theta), by direct summation.
 
     Accepts a scalar or an ndarray of angles; D_r(0) = 2r + 1 exactly.
     """
-    import numpy as np
-
+    np = _numpy()
     r = operator.index(r)
     if r < 0:
         raise ValueError("r must be non-negative")
@@ -120,8 +129,7 @@ def dirichlet_kernel_closed(r: int, theta):
     Undefined at multiples of 2*pi (where the sum form should be used);
     raises there rather than returning inf/nan.
     """
-    import numpy as np
-
+    np = _numpy()
     r = operator.index(r)
     if r < 0:
         raise ValueError("r must be non-negative")
@@ -147,9 +155,7 @@ def adjacency_eigenvalue(spec: CirculantSpec, j: int) -> float:
 
 def adjacency_eigenvalues(spec: CirculantSpec) -> np.ndarray:
     """All n adjacency eigenvalues, indexed by frequency j."""
-    import numpy as np
-
-    thetas = 2.0 * math.pi * np.arange(spec.n) / spec.n
+    thetas = 2.0 * math.pi * _numpy().arange(spec.n) / spec.n
     return dirichlet_kernel(spec.r, thetas) - 1.0
 
 

@@ -31,8 +31,8 @@ off its ascending neighbour list: a Fenwick tree over the right endpoints
 already walked gives I, and E is read off the walk (b's rank among a's
 upper neighbours, plus a counter per b of the edges (a', b) walked so
 far), with no bisection or lookup per edge.  The whole count costs
-O((n + m) log n) time and O(n + m) memory.  ``chords_cross`` stays the pairwise rule for
-callers that need to know which pairs cross.
+O((n + m) log n) time and O(n + m) memory.  Which pairs cross is told by
+``chords_cross`` for one pair and ``_crossing_pairs`` for all chords on n points.
 
 The degeneracy helpers at the bottom exist because several of the density
 arguments elsewhere in the package reduce to "every induced subgraph has a
@@ -46,7 +46,7 @@ import operator
 from bisect import bisect_right
 from functools import partial
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 __all__ = [
     "ConvexGraph",
@@ -123,6 +123,12 @@ def chords_cross(n: int, e1, e2) -> bool:
     return (a < c < b) != (a < d < b)
 
 
+def _crossing_pairs(n: int):
+    """Every crossing pair of chords on n points, once each: of the three
+    pairings of a 4-subset a < b < c < d, only (a, c) and (b, d) cross."""
+    return (((a, c), (b, d)) for a, b, c, d in combinations(range(n), 4))
+
+
 class ConvexGraph:
     """Immutable graph on n points in convex position.
 
@@ -190,11 +196,7 @@ class ConvexGraph:
     def __eq__(self, other):
         if not isinstance(other, ConvexGraph):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.edges == other.edges
-            and self.coloring == other.coloring
-        )
+        return (self.n, self.edges, self.coloring) == (other.n, other.edges, other.coloring)
 
     def __hash__(self):
         return hash((self.n, self.edges, self.coloring))

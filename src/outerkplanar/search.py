@@ -15,11 +15,11 @@ still-addable candidate.  Feasibility is monotone (an edge that cannot be
 added now can never be added later), so each node derives its addable
 set from its parent's with a few bitset operations.  Each node gets its
 state as arguments: the bitset of addable candidates and, per cost c,
-the bitset of those that cross exactly c included edges, bitsets of the
-included and of the saturated edges (those crossed k times), the
-crossing headroom left on included edges, and the number of edges
-included.  Pruning uses ``_node_bound``, an admissible optimistic bound
-over that state, which ``upper_prune`` exposes for a given partial
+the bitset of those that cross exactly c included edges, the bitset of
+included edges, the crossing headroom left on them, and their number (an
+edge crossed k times needs no state: the branch that saturates it drops
+its crossers).  Pruning uses ``_node_bound``, an admissible optimistic
+bound over that state, which ``upper_prune`` exposes for a given partial
 graph.  The candidates that cross no candidate (the bichromatic hull
 edges, or every candidate of a star coloring) come first in candidate
 order, and the search starts with all of them included.  That is the
@@ -42,13 +42,13 @@ the vertices; a node takes its parent's packed degrees and subtracts
 the candidates it lost only once it passes ``_node_bound``.
 
 Symmetry is pruned by orbital branching (Ostrowski, Linderoth, Rossi and
-Smriglio, Math. Programming 2011).  ``_view`` lists a coloring's dihedral
-maps i -> +-i + t (mod n) that send its candidate set onto itself;
-they preserve crossing, so each sends solutions to solutions of the same
-size.  Each node carries a group H of maps that fix its included and its
-excluded set.  Branching on a candidate i0, the include child keeps the
-maps of H that fix i0, and the exclude child keeps H and excludes i0's
-whole orbit under H: a solution of the node that holds some image p(i0)
+Smriglio, Math. Programming 2011).  ``_view`` lists the maps of
+``_dihedral(n)``, i -> +-i + t (mod n), that send a coloring's candidate
+set onto itself; they preserve crossing, so each sends solutions to
+solutions of the same size.  Each node carries a group H of maps that
+fix its included and its excluded set.  Branching on a candidate i0, the
+include child keeps the maps of H that fix i0, and the exclude child
+keeps H and excludes i0's whole orbit under H: a solution of the node that holds some image p(i0)
 but not i0 is sent by the inverse of p to one of the same size that
 holds i0, in the include child, which is searched first.  So every
 strict improvement is still first met at the same node, and the optimum,
@@ -63,15 +63,15 @@ the witness.  The incumbent is the bitset of included candidates, decoded
 to edges once, for the result.  What a search reads that does not depend
 on k is memoized, so a loop over k at one n builds it once: the
 bipartite_free colorings, the chords with their crossing bitsets and
-vertex words (``_problem``), and each coloring's share of those with its
-symmetry group (``_view``).  The closed-form bound is memoized in ``bounds``.
+vertex words (``_problem``), the dihedral maps (``_dihedral``), and each
+coloring's share of those with its symmetry group (``_view``).  The
+closed-form bound is memoized in ``bounds``.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from itertools import combinations
 from typing import NamedTuple
 
 from ._optima import _PROVEN_OPTIMA
@@ -79,6 +79,7 @@ from .bounds import _least_upper
 from .errors import BudgetExceededError
 from .geometry import (
     ConvexGraph,
+    _crossing_pairs,
     _normalize_edge,
     bipartition,
     chord_length,
@@ -105,12 +106,26 @@ class SearchResult(NamedTuple):
     settings: dict
 
 
+def _checked(n, k, caller: str) -> tuple[int, int]:
+    """n and k as ints if 2 <= n <= ``MAX_SEARCH_N`` and k >= 0, else ValueError."""
+    n, k = operator.index(n), operator.index(k)
+    if not 2 <= n <= MAX_SEARCH_N:
+        raise ValueError(f"{caller} supports 2 <= n <= {MAX_SEARCH_N} (got n={n})")
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    return n, k
+
+
+@functools.lru_cache(maxsize=1)  # canonical_form takes any n; a search, one n at a time
+def _dihedral(n: int) -> tuple[tuple[int, ...], ...]:
+    """The 2n maps i -> +-i + t (mod n), as the images of 0..n-1; they preserve crossing."""
+    return tuple(tuple((sign * i + t) % n for i in range(n)) for sign in (1, -1) for t in range(n))
+
+
 def canonical_form(g: ConvexGraph) -> tuple[tuple[int, int], ...]:
     """Lexicographically least edge list over all 2n dihedral relabelings."""
-    n = g.n
-    return tuple(min(sorted(tuple(sorted(((sign * a + t) % n, (sign * b + t) % n)))
-                            for a, b in g.edges)
-                     for sign in (1, -1) for t in range(n)))
+    return tuple(min(sorted(tuple(sorted((p[a], p[b]))) for a, b in g.edges)
+                     for p in _dihedral(g.n)))
 
 
 class _Problem(NamedTuple):
@@ -127,20 +142,19 @@ def _problem(n: int) -> _Problem:
     """What a search on n points reads that depends on n alone; read only.
 
     Candidate order is increasing chord length, then lexicographic.
-    ``cross[i]`` is the bitset of the chords that chord i crosses: of the
-    three pairings of a 4-subset a < b < c < d only (a, c), (b, d) crosses,
-    so the table costs C(n, 4) lookups instead of m^2 tests.  Chord (a, b)
-    has the word 2^(f*a) + 2^(f*b): vertex v's live degree is packed in the
-    f = (n - 1).bit_length() + 1 bits at f*v, below its bit of ``guard``,
-    and ``ones`` has a 1 in each field.
+    ``cross[i]`` is the bitset of the chords that chord i crosses, set from
+    ``geometry._crossing_pairs`` in C(n, 4) steps, not m^2 tests.  Chord
+    (a, b) has the word 2^(f*a) + 2^(f*b): vertex v's live degree is packed
+    in the f = (n - 1).bit_length() + 1 bits at f*v, below its bit of
+    ``guard``, and ``ones`` has a 1 in each field.
     """
     chords = sorted(((a, b) for a in range(n) for b in range(a + 1, n)),
                     key=lambda e: (chord_length(n, e), e))
     index = {e: i for i, e in enumerate(chords)}
     cross = [0] * len(chords)
-    for a, b, c, d in combinations(range(n), 4):
-        i = index[a, c]
-        j = index[b, d]
+    for e, f in _crossing_pairs(n):
+        i = index[e]
+        j = index[f]
         cross[i] |= 1 << j
         cross[j] |= 1 << i
     f = (n - 1).bit_length() + 1
@@ -163,9 +177,9 @@ def _view(n: int, coloring) -> _View:
 
     The candidates are the bichromatic chords of ``_problem(n)``, in its
     order; their bitsets and words are cut from it and re-indexed over the
-    candidates.  ``group`` holds the dihedral maps i -> +-i + t (mod n)
-    that send the candidate set onto itself, as index maps p (candidate j
-    goes to p[j], and cross[j] to cross[p[j]]).  A map keeps the
+    candidates.  ``group`` holds the maps of ``_dihedral(n)`` that send the
+    candidate set onto itself, as index maps p (candidate j goes to p[j],
+    and cross[j] to cross[p[j]]).  A map keeps the
     bichromatic pairs exactly when it keeps the coloring or swaps its
     colors, which is tested first.  Maps that move no candidate are left
     out, so each entry is a distinct permutation of the candidates.
@@ -187,14 +201,10 @@ def _view(n: int, coloring) -> _View:
         cross.append(y)
     cands = tuple(prob.chords[g] for g in keep)
     maps = set()
-    for sign in (1, -1):
-        for t in range(n):
-            if coloring and len({coloring[(sign * i + t) % n] ^ coloring[i]
-                                 for i in range(n)}) > 1:
-                continue
-            maps.add(tuple(pos[prob.index[_normalize_edge(n, ((sign * a + t) % n,
-                                                              (sign * b + t) % n))]]
-                           for a, b in cands))
+    for p in _dihedral(n):
+        if coloring and len({coloring[v] ^ c for v, c in zip(p, coloring)}) > 1:
+            continue
+        maps.add(tuple(pos[prob.index[_normalize_edge(n, (p[a], p[b]))]] for a, b in cands))
     maps.discard(tuple(range(len(cands))))
     free = next((i for i, x in enumerate(cross) if x), len(cross))
     return _View(cands, tuple(cross), tuple(prob.words[g] for g in keep), tuple(sorted(maps)),
@@ -256,11 +266,7 @@ def upper_prune(n: int, k: int, state, remaining, *, bipartite: bool = False) ->
     ``remaining``.  n and k are integers as for ``max_edges``, with
     2 <= n <= ``MAX_SEARCH_N``: the first call at an n builds its lasting
     ``_problem`` record, whose C(n, 4) crossing table grows as n^4."""
-    n, k = operator.index(n), operator.index(k)
-    if not 2 <= n <= MAX_SEARCH_N:
-        raise ValueError(f"upper_prune supports 2 <= n <= {MAX_SEARCH_N} (got n={n})")
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    n, k = _checked(n, k, "upper_prune")
     chords, index, cross, *_ = _problem(n)
     state_bits = [index[e] for e in {_normalize_edge(n, e) for e in state}]
     included = sum(1 << i for i in state_bits)
@@ -327,7 +333,7 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
 
     n_costs = min(k, m_cand) + 1  # a candidate's cost never exceeds k or m_inc
 
-    def dfs(feas, layers, included, sat, cap, m_inc, group, deg, lost):
+    def dfs(feas, layers, included, cap, m_inc, group, deg, lost):
         # feas is the bitset of addable candidates and layers[c] the
         # bitset of those that cross exactly c included edges.  A call
         # owns the layers it is given: its caller never reads them again.
@@ -369,13 +375,11 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
         # layers[k], or empty when k >= m_cand) and those that cross a
         # newly saturated edge, i0 or an included edge it crosses
         new_included = included | bit0
-        new_sat = sat | bit0 if c0 == k else sat
         drop = bit0 | (x0 if c0 == k else layers[-1] & x0)
         while t:
             low = t & -t
             x = cross[low.bit_length() - 1]
             if (x & new_included).bit_count() == k:
-                new_sat |= low
                 drop |= x
             t ^= low
         new_feas = feas & ~drop
@@ -399,19 +403,18 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
                     fixing.append(p)
                 else:
                     orbit |= 1 << p[i0]
-        dfs(new_feas, new_layers, new_included, new_sat, cap + k - 2 * c0, m_inc + 1,
+        dfs(new_feas, new_layers, new_included, cap + k - 2 * c0, m_inc + 1,
             fixing, deg, feas & drop ^ bit0)
         # exclude branch: i0's whole orbit, which shares i0's cost and so
         # lies in layers[c0]
         layers[c0] ^= orbit
-        dfs(feas ^ orbit, layers, included, sat, cap, m_inc, group, deg, orbit)
+        dfs(feas ^ orbit, layers, included, cap, m_inc, group, deg, orbit)
 
     # the root includes the free candidates (module docstring), each with
-    # headroom k and saturated if k == 0; they stay live, so deg is current
+    # headroom k; they stay live, so deg is current
     prefix = (1 << free) - 1
     rest = (1 << m_cand) - 1 - prefix
-    dfs(rest, [rest] + [0] * (n_costs - 1), prefix, 0 if k else prefix, k * free, free,
-        group, sum(words), 0)
+    dfs(rest, [rest] + [0] * (n_costs - 1), prefix, k * free, free, group, sum(words), 0)
 
 
 @functools.cache
@@ -494,11 +497,7 @@ def max_edges(n: int, k: int, mode: str = "general", *,
     result is proven optimal.  n and k must be integers: a float or a str
     raises TypeError.
     """
-    n, k = operator.index(n), operator.index(k)
-    if not 2 <= n <= MAX_SEARCH_N:
-        raise ValueError(f"search supports 2 <= n <= {MAX_SEARCH_N} (got n={n})")
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    n, k = _checked(n, k, "search")
     if mode not in _MODE_COLORINGS:
         raise ValueError(f"unknown mode {mode!r}; choose one of {SEARCH_MODES}")
     colorings = _MODE_COLORINGS[mode](n)

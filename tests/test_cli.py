@@ -559,6 +559,37 @@ def test_sweep_bad_grid():
     assert code == 2
 
 
+def test_sweep_refuses_a_grid_above_its_cap(monkeypatch):
+    # refused before any cell is evaluated, as circulant --method exact is
+    import outerkplanar.cli as cli
+
+    assert cli._SWEEP_MAX_CELLS >= 299 * 201  # the full n 2..300, k 0..200 grid
+    called = []
+    original = cli.bound_report
+
+    def recorder(*args, **kwargs):
+        # a sweep past its cap fails here at once instead of running on
+        assert len(called) < 6, "sweep evaluates a grid above its cap"
+        called.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "bound_report", recorder)
+    assert invoke_json("sweep", "--n-from", "2", "--n-to", "100000000",
+                       "--k-from", "0", "--k-to", "0") == (5, {"error": {
+                           "code": "budget-exceeded",
+                           "message": "the grid has 99999999 cells; that exceeds the cap of "
+                                      f"{cli._SWEEP_MAX_CELLS}"}})
+    assert called == []
+    # the cells are counted with the steps: n 10, 13, 16 (19) by k 0, 1
+    monkeypatch.setattr(cli, "_SWEEP_MAX_CELLS", 6)
+    grid = ["--n-from", "10", "--n-step", "3", "--k-from", "0", "--k-to", "1"]
+    assert invoke("sweep", "--n-to", "16", *grid)[0] == 0 and len(called) == 6
+    called.clear()
+    assert invoke_json("sweep", "--n-to", "19", *grid)[1]["error"]["message"] == (
+        "the grid has 8 cells; that exceeds the cap of 6")
+    assert called == []
+
+
 # Failing invocations whose records are pinned: they cover every subcommand,
 # the parser itself and every error code, including a budget cut-off that
 # carries a partial result and one that does not.  The
@@ -810,6 +841,54 @@ def test_numpy_stays_off_the_import_path(tmp_path):
         assert json.loads(proc.stdout) == {
             "start": [], "import outerkplanar": [], "import outerkplanar.cli": [],
             "run": [0, *modules]}, argv
+
+
+# Runs in a fresh interpreter in which importing numpy fails, as it does
+# without the optional extra: every subcommand and the pure-Python circulant
+# functions work, and an array function names the extra.
+NO_NUMPY_PROBE = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from outerkplanar import circulant, cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.run(argv))
+spec = circulant.CirculantSpec(12, 2)
+values = [round(circulant.mohar_bound(spec), 6), circulant.exact_maxcut(spec).value,
+          circulant.xor_sum("0110101", 2)]
+try:
+    circulant.dirichlet_kernel(2, 0.5)
+except ImportError as exc:
+    values.append(str(exc))
+print(json.dumps([codes, values]))
+"""
+
+
+def test_every_subcommand_runs_without_numpy(tmp_path):
+    from outerkplanar.circulant import CirculantSpec, exact_maxcut, mohar_bound, xor_sum
+    from outerkplanar.cli import _CONSTRUCT
+
+    graph = tmp_path / "k5.json"
+    graph.write_text(invoke("construct", "complete", "--x", "5")[1])
+    calls = [
+        ["bounds", "--n", "10", "--k", "2"],
+        ["sweep", "--n-from", "6", "--n-to", "8", "--k-from", "0", "--k-to", "2"],
+        *(["construct", kind, *(arg for flag in wanted for arg in (f"--{flag}", "4"))]
+          for kind, (_, wanted) in _CONSTRUCT.items()),
+        ["verify", str(graph), "--k", "2"],
+        ["search", "--n", "6", "--k", "1", "--bipartite", "free"],
+        ["xorsum", "--bits", "0110101", "--r", "2"],
+        *(["circulant", "--n", "12", "--r", "2", "--method", method]
+          for method in ("exact", "mohar", "lemma", "lemma-refined")),
+    ]
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_PROBE, json.dumps(calls)],
+                          capture_output=True, text=True, env=package_env())
+    assert proc.returncode == 0, proc.stderr
+    spec = CirculantSpec(12, 2)
+    assert json.loads(proc.stdout) == [[0] * len(calls), [
+        round(mohar_bound(spec), 6), exact_maxcut(spec).value, xor_sum("0110101", 2),
+        "the array functions need numpy: pip install 'outerkplanar[arrays]'"]]
 
 
 # dataclasses pulls in inspect, ast, dis and tokenize: about 10 ms of CPU in

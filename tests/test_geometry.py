@@ -21,6 +21,7 @@ from outerkplanar import (
     max_crossing,
     to_json_dict,
 )
+from outerkplanar.geometry import _crossing_pairs
 from conftest import (
     crossing_counts_by_subsets,
     crossing_counts_np,
@@ -41,13 +42,18 @@ def test_cross_basic():
 
 
 def test_cross_matches_subset_oracle():
-    """Predicate agrees with the 4-subset definition on every chord pair."""
+    """Predicate agrees with the 4-subset definition on every chord pair,
+    and _crossing_pairs lists each crossing pair once, as the predicate says."""
     for n in range(4, 9):
         edge_set = {(a, b) for a in range(n) for b in range(a + 1, n)}
         expected = crossing_pairs_by_subsets(n, edge_set)
         for e1, e2 in itertools.combinations(sorted(edge_set), 2):
             want = (e1, e2) in expected or (e2, e1) in expected
             assert chords_cross(n, e1, e2) == want, (n, e1, e2)
+        pairs = list(_crossing_pairs(n))
+        assert len(pairs) == math.comb(n, 4)
+        assert sorted(pairs) == [(e1, e2) for e1, e2 in itertools.combinations(
+            sorted(edge_set), 2) if chords_cross(n, e1, e2)], n
 
 
 def test_complete_graph_crossing_totals():
