@@ -171,11 +171,9 @@ def laplacian_lambda_max(spec: CirculantSpec) -> float:
     Python 3.11.  Past it BudgetExceededError is raised before any work.
     """
     n, r = spec.n, spec.r
-    if n // 2 > MAXCUT_WORK_BUDGET:
-        raise BudgetExceededError(
-            f"laplacian_lambda_max does n//2 evaluations for n={n}; "
-            f"that exceeds the budget n//2 <= {MAXCUT_WORK_BUDGET}"
-        )
+    if n // 2 > MAXCUT_WORK_BUDGET:  # the message names no n: it may be too long to print
+        raise BudgetExceededError("laplacian_lambda_max does n//2 evaluations; at this n that "
+                                  f"exceeds the budget n//2 <= {MAXCUT_WORK_BUDGET}")
     return max(2.0 * r + 1.0 - math.sin((r + 0.5) * theta) / math.sin(theta / 2.0)
                for theta in (2.0 * math.pi * j / n for j in range(1, n // 2 + 1)))
 
@@ -266,17 +264,17 @@ def exact_maxcut(spec: CirculantSpec) -> Cut:
     Work and time are O(n*4^r), memory O(n*2^r).  Budget: n*4^r <= 2^22
     (MAXCUT_WORK_BUDGET).  At the cap a call takes from 0.9 s (r = 8,
     n = 64) to 2.6 s (r = 1, n = 2^20) on one core of a shared Linux
-    container with Python 3.11.  Past it BudgetExceededError is raised.
+    container with Python 3.11.  Past it, as at every r >= 11 (4^11 = 2^22
+    and n >= 3), BudgetExceededError is raised before any work.
     """
     # imported here: loading the extension costs every import of the package 0.6 ms
     from array import array
 
     n, r = spec.n, spec.r
-    if n << (2 * r) > MAXCUT_WORK_BUDGET:
-        raise BudgetExceededError(
-            f"exact_maxcut does n*4^r = {n << (2 * r)} steps for n={n}, r={r}; "
-            f"that exceeds the budget n*4^r <= {MAXCUT_WORK_BUDGET}"
-        )
+    # r >= 11 is refused before n << 2r builds n*4^r bits; n and r may be too long to print
+    if r >= 11 or n << (2 * r) > MAXCUT_WORK_BUDGET:
+        raise BudgetExceededError("exact_maxcut does n*4^r steps; at this n and r that "
+                                  f"exceeds the budget n*4^r <= {MAXCUT_WORK_BUDGET}")
     size = 1 << r
     # bit p of a window is the side of the vertex p steps back
     gain0 = [w.bit_count() for w in range(size)]

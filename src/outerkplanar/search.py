@@ -9,33 +9,36 @@ consecutive (the two color classes are contiguous arcs, with the split
 point part of the search), or free (all two-colorings, iterated up to
 rotation, reflection, and color swap).
 
-The solver enumerates candidate chords in a fixed order (increasing chord
-length, then lexicographic) and branches include/exclude on the first
-still-addable candidate.  Feasibility is monotone (an edge that cannot be
-added now can never be added later), so each node derives its addable
-set from its parent's with a few bitset operations.  Each node gets its
-state as arguments: the bitset of addable candidates and, per cost c,
-the bitset of those that cross exactly c included edges, the bitset of
-included edges, the crossing headroom left on them, and their number (an
-edge crossed k times needs no state: the branch that saturates it drops
-its crossers).  Pruning uses ``_node_bound``, an admissible optimistic
-bound over that state, which ``upper_prune`` exposes for a given partial
-graph.  The candidates that cross no candidate (the bichromatic hull
-edges, or every candidate of a star coloring) come first in candidate
-order, and the search starts with all of them included.  That is the
-node a chain of include branches on them would reach, and each exclude
-branch on the way is dominated: adding the candidate to any of its
-graphs keeps it feasible and gains an edge.  So the search branches only
-on candidates that cross some candidate.
+The solver enumerates candidate chords in a fixed order (increasing
+chord length, then lexicographic) and branches include/exclude on the
+first still-addable candidate.  Feasibility is monotone (an edge that
+cannot be added now can never be added later), so each node derives its
+addable set from its parent's with a few bitset operations.  Each node
+gets its state as arguments: the bitset of addable candidates and, per
+cost c, the bitset of those that cross exactly c included edges, the
+bitset of included edges, the crossing headroom left on them, and their
+number (an edge crossed k times needs no state: the branch that
+saturates it drops its crossers); ``_state`` builds it at the root.
+Pruning uses ``_node_bound``, an admissible optimistic bound over that
+state, and the vertex term below; the closed-form ceiling
+``bounds._least_upper`` only stops the search, once the incumbent
+reaches it.  ``upper_prune`` gives the least of the three for a given
+partial graph.  The candidates that cross no candidate (the bichromatic
+hull edges, or every candidate of a star coloring) come first in
+candidate order, and the search starts with all of them included.  That
+is the node a chain of include branches on them would reach, and each
+exclude branch on the way is dominated: adding the candidate to any of
+its graphs keeps it feasible and gains an edge.  So the search branches
+only on candidates that cross some candidate.
 
 A vertex term prunes as Russian-doll search does (Verfaillie, Lemaitre
 and Schiex, AAAI 1996; Ostergard, Discrete Appl. Math. 2002): delete any
 vertex and the other points are still in convex position, so no
 completion has more than opt(n - 1, k) edges plus the candidates still
-live at the vertex, included or addable (``_vertex_bound``).  The
-optima on n - 1 points come from ``_optima._PROVEN_OPTIMA``, a frozen
-table of values this search proved for n <= 11 and k <= 6, each row
-with the rows above it; where it has no entry the term is left out.
+live at the vertex, included or addable.  The optima on n - 1 points
+come from ``_optima._PROVEN_OPTIMA``, a frozen table of values this
+search proved for n <= 11 and k <= 6, each row with the rows above it;
+where it has no entry the term is left out.
 Each node packs every vertex's live degree in one int (``_problem``),
 so the term costs a few big-int operations per node, not a loop over
 the vertices; a node takes its parent's packed degrees and subtracts
@@ -211,22 +214,20 @@ def _view(n: int, coloring) -> _View:
                  free)
 
 
-def _node_bound(m_inc: int, n_feas: int, per_cost, cap: int, static_ub: int) -> int:
+def _node_bound(m_inc: int, n_feas: int, per_cost, cap: int) -> int:
     """The search's pruning bound at one node; no completion can beat it.
 
     The node has ``m_inc`` edges included, ``n_feas`` candidates still
     individually addable of which ``per_cost[c]`` cross exactly c included
     edges (read only for emptiness, so a count or a bitset of those
     candidates will do), and ``cap`` crossing headroom (the sum of k minus
-    the crossing count over the included edges).  The bound is the least of
-    ``m_inc + n_feas``, the closed-form ``static_ub``, and, when the
-    cheapest addable candidate crosses c_min > 0 included edges,
-    ``m_inc + cap // c_min``: every edge a completion adds takes at least
-    c_min of the ``cap`` crossings the included edges have left.
+    the crossing count over the included edges).  The bound is the lesser
+    of ``m_inc + n_feas`` and, when the cheapest addable candidate crosses
+    c_min > 0 included edges, ``m_inc + cap // c_min``: every edge a
+    completion adds takes at least c_min of the ``cap`` crossings the
+    included edges have left.  The closed-form ceiling is no part of it.
     """
     ub = m_inc + n_feas
-    if static_ub < ub:
-        ub = static_ub
     if n_feas and not per_cost[0]:
         c_min = 1
         while not per_cost[c_min]:
@@ -236,11 +237,33 @@ def _node_bound(m_inc: int, n_feas: int, per_cost, cap: int, static_ub: int) -> 
     return ub
 
 
-def _vertex_bound(opt1: int, live) -> int:
-    """The vertex term of the pruning bound: opt(n - 1, k) plus the least
-    live(v), the candidates at v included or addable (module docstring).
-    ``_solve`` tests it on packed degrees, ``upper_prune`` calls it."""
-    return opt1 + min(live)
+def _state(cross, k: int, included: int, undecided: int) -> tuple[int, list[int], int, int]:
+    """What ``dfs`` takes at the node that includes the candidates of bitset
+    ``included`` and may add those of ``undecided``, for crossing bitsets
+    ``cross``: the addable candidates (undecided, not included, and leaving
+    every edge crossed at most k times when added), their layers by cost
+    (included edges crossed: at most k and len(cross), so the last layer is
+    layer k or empty), the crossing headroom and the edge count.  Raises
+    ValueError if an included edge is crossed more than k times."""
+    crossed = blocked = 0  # candidates that cross an included edge, a saturated one
+    cap = k * included.bit_count()
+    for i in range(included.bit_length()):
+        if cross[i] and included >> i & 1:  # an edge that crosses nothing keeps headroom k
+            count = (cross[i] & included).bit_count()
+            if count > k:
+                raise ValueError("state is not outer k-planar")
+            if count == k:
+                blocked |= cross[i]
+            crossed |= cross[i]
+            cap -= count
+    feas = undecided & ~included & ~blocked
+    layers = [feas & ~crossed] + [0] * min(k, len(cross))
+    x = feas & crossed  # the addable candidates of cost 1 or more
+    for i in range(x.bit_length()):
+        cost = (cross[i] & included).bit_count()
+        if x >> i & 1 and cost <= k:
+            layers[cost] |= 1 << i
+    return sum(layers), layers, cap, included.bit_count()  # the layers are disjoint
 
 
 def _smaller_optimum(n: int, k: int, mode: str) -> int | None:
@@ -256,46 +279,28 @@ def upper_prune(n: int, k: int, state, remaining, *, bipartite: bool = False) ->
     """The search's pruning bound at the node that has chosen ``state``.
 
     ``state`` holds the edges already chosen (must itself be outer
-    k-planar) and ``remaining`` the undecided candidates.  The node state
-    is built the way the search keeps it, on the general candidate list
-    and its crossing bitsets, and ``_node_bound`` is evaluated on it; see
-    there for the three quantities.  The vertex term of ``_vertex_bound``
-    is added where the table holds opt(n - 1, k).  ``bipartite`` selects
-    the closed-form bounds and the smaller optimum of a bipartite search.
-    The bound never undercuts the best completion of ``state`` by edges of
-    ``remaining``.  n and k are integers as for ``max_edges``, with
-    2 <= n <= ``MAX_SEARCH_N``: the first call at an n builds its lasting
-    ``_problem`` record, whose C(n, 4) crossing table grows as n^4."""
+    k-planar, else ValueError) and ``remaining`` the undecided candidates.
+    The bound is the least of ``_node_bound`` on the node state that
+    ``_state`` builds over the general candidates, the closed-form ceiling
+    ``bounds._least_upper``, and, where the table holds opt(n - 1, k), the
+    vertex term opt(n - 1, k) + min live(v) (module docstring).
+    ``bipartite`` selects the closed-form bounds and the smaller optimum of
+    a bipartite search.  The bound never undercuts the best completion of
+    ``state`` by edges of ``remaining``.  n and k are integers as for
+    ``max_edges``, with 2 <= n <= ``MAX_SEARCH_N``: the first call at an n
+    builds its lasting ``_problem`` record, whose C(n, 4) crossing table
+    grows as n^4."""
     n, k = _checked(n, k, "upper_prune")
     chords, index, cross, *_ = _problem(n)
-    state_bits = [index[e] for e in {_normalize_edge(n, e) for e in state}]
-    included = sum(1 << i for i in state_bits)
-    sat = 0
-    cap = 0
-    for i in state_bits:
-        count = (cross[i] & included).bit_count()
-        if count > k:
-            raise ValueError("state is not outer k-planar")
-        if count == k:
-            sat |= 1 << i
-        cap += k - count
-    feas = 0
-    layers = [0] * (min(k, len(state_bits)) + 1)  # a cost never exceeds k or |state|
-    for f in {_normalize_edge(n, e) for e in remaining}:
-        i = index[f]
-        if included >> i & 1 or cross[i] & sat:
-            continue
-        cost = (cross[i] & included).bit_count()
-        if cost <= k:
-            feas |= 1 << i
-            layers[cost] |= 1 << i
-    ub = _node_bound(len(state_bits), feas.bit_count(), layers, cap,
-                     _least_upper(n, k, bipartite))
+    included = sum(1 << index[e] for e in {_normalize_edge(n, e) for e in state})
+    undecided = sum(1 << index[e] for e in {_normalize_edge(n, e) for e in remaining})
+    feas, layers, cap, m_inc = _state(cross, k, included, undecided)
+    ub = min(_node_bound(m_inc, feas.bit_count(), layers, cap), _least_upper(n, k, bipartite))
     opt1 = _smaller_optimum(n, k, "bipartite_free" if bipartite else "general")
     if opt1 is None:
         return ub
     ends = [v for i, e in enumerate(chords) if (included | feas) >> i & 1 for v in e]
-    return min(ub, _vertex_bound(opt1, [ends.count(v) for v in range(n)]))
+    return min(ub, opt1 + min(ends.count(v) for v in range(n)))
 
 
 class _Incumbent:
@@ -329,11 +334,8 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
     ``opt1`` is opt(n - 1, k) for the vertex term, or None to leave it out."""
     cands, cross, words, group, free = _view(n, coloring)
     *_, ones, guard = _problem(n)
-    m_cand = len(cands)
 
-    n_costs = min(k, m_cand) + 1  # a candidate's cost never exceeds k or m_inc
-
-    def dfs(feas, layers, included, cap, m_inc, group, deg, lost):
+    def dfs(feas, layers, cap, m_inc, included, group, deg, lost):
         # feas is the bitset of addable candidates and layers[c] the
         # bitset of those that cross exactly c included edges.  A call
         # owns the layers it is given: its caller never reads them again.
@@ -349,16 +351,16 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
             inc.best_coloring = coloring
         if inc.budget is not None and inc.nodes > inc.budget:
             raise BudgetExceededError("search node budget exceeded")
-        if not feas:
+        if not feas or inc.best >= static_ub:  # the closed-form ceiling stops the search
             return
-        if _node_bound(m_inc, feas.bit_count(), layers, cap, static_ub) <= inc.best:
+        if _node_bound(m_inc, feas.bit_count(), layers, cap) <= inc.best:
             return
         if opt1 is not None:
             while lost:
                 low = lost & -lost
                 deg -= words[low.bit_length() - 1]
                 lost ^= low
-            # _vertex_bound <= best iff a field of deg is below th1, whose
+            # opt1 + min live(v) <= best iff a field of deg is below th1, whose
             # guard bit the subtraction then clears; no field borrows, as
             # th1 <= n <= 2^(f-1) (best <= opt(n, k) <= opt1 + n - 1)
             th1 = inc.best - opt1 + 1
@@ -372,7 +374,7 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
         c0 = t.bit_count()
         # include branch: drop i0, the candidates it would push past k
         # crossings (the top layer's that cross it: layers[-1] is
-        # layers[k], or empty when k >= m_cand) and those that cross a
+        # layers[k], or empty when k >= len(cands)) and those that cross a
         # newly saturated edge, i0 or an included edge it crosses
         new_included = included | bit0
         drop = bit0 | (x0 if c0 == k else layers[-1] & x0)
@@ -403,18 +405,17 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
                     fixing.append(p)
                 else:
                     orbit |= 1 << p[i0]
-        dfs(new_feas, new_layers, new_included, cap + k - 2 * c0, m_inc + 1,
+        dfs(new_feas, new_layers, cap + k - 2 * c0, m_inc + 1, new_included,
             fixing, deg, feas & drop ^ bit0)
         # exclude branch: i0's whole orbit, which shares i0's cost and so
         # lies in layers[c0]
         layers[c0] ^= orbit
-        dfs(feas ^ orbit, layers, included, cap, m_inc, group, deg, orbit)
+        dfs(feas ^ orbit, layers, cap, m_inc, included, group, deg, orbit)
 
-    # the root includes the free candidates (module docstring), each with
-    # headroom k; they stay live, so deg is current
+    # the root includes the free candidates (module docstring); they stay
+    # live, so deg is current
     prefix = (1 << free) - 1
-    rest = (1 << m_cand) - 1 - prefix
-    dfs(rest, [rest] + [0] * (n_costs - 1), prefix, k * free, free, group, sum(words), 0)
+    dfs(*_state(cross, k, prefix, (1 << len(cands)) - 1), prefix, group, sum(words), 0)
 
 
 @functools.cache

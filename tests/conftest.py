@@ -171,6 +171,30 @@ def brute_best_completion(n, k, state, remaining):
     return best[0]
 
 
+def node_state_by_definition(n, k, included, undecided):
+    """A search node's state from the definitions, for sets of edges.
+
+    Returns None when an included edge is crossed more than k times, else
+    (addable, costs, headroom, edge count): an undecided edge that is not
+    included is addable when the included edges and it are each crossed
+    at most k times among themselves; costs maps each addable edge to the
+    number of included edges it crosses; the headroom sums k minus the
+    crossings of each included edge.
+    """
+    pairs = crossing_pairs_by_subsets(n, included | undecided)
+    crossed = {e: set() for e in included | undecided}
+    for e, f in pairs:
+        crossed[e].add(f)
+        crossed[f].add(e)
+    counts = {e: len(crossed[e] & included) for e in included}
+    if any(c > k for c in counts.values()):
+        return None
+    costs = {e: len(crossed[e] & included) for e in undecided - included
+             if len(crossed[e] & included) <= k
+             and all(counts[f] < k for f in crossed[e] & included)}
+    return set(costs), costs, sum(k - c for c in counts.values()), len(included)
+
+
 def random_graph(rng, n, p=0.4):
     edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
     return edges

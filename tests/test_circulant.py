@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,11 +137,14 @@ def test_spectral_bound_matches_numpy_eigenvalues():
 
 
 def test_spectral_bound_work_cap():
-    # n//2 closed-form evaluations at most; past the cap nothing is evaluated
-    for n in (2 * MAXCUT_WORK_BUDGET + 2, 10**400):
+    # n//2 closed-form evaluations at most; past the cap nothing is
+    # evaluated, and the refusal names no n, which may be too long for a str
+    for n in (2 * MAXCUT_WORK_BUDGET + 2, 10**400, int("9" * 4300)):
         for bound in (laplacian_lambda_max, mohar_bound):
-            with pytest.raises(BudgetExceededError, match="exceeds the budget"):
+            with pytest.raises(BudgetExceededError, match="exceeds the budget") as info:
                 bound(CirculantSpec(n, 1))
+            assert str(info.value) == ("laplacian_lambda_max does n//2 evaluations; at this n "
+                                       "that exceeds the budget n//2 <= 4194304")
 
 
 def test_mohar_values():
@@ -232,6 +236,20 @@ def test_exact_maxcut_budget():
         exact_maxcut(CirculantSpec(19, 9))
     assert exact_maxcut(CirculantSpec(29, 3)).value == 58
     assert exact_maxcut(CirculantSpec(400, 3)).value == 800
+    # every r >= 11 is over the cap (4^11 = 2^22), and is refused before
+    # n << 2r builds an n*4^r-bit int; the refusal names neither n nor r,
+    # which may be too long for a str
+    for n, r in ((100_000, 10_000), (2 * 10**7 + 1, 10**7), (int("9" * 4300), 1)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as info:
+                exact_maxcut(CirculantSpec(n, r))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (r, peak)  # an n*4^r-bit int at r = 10^7 takes 2.5 MB
+        assert str(info.value) == ("exact_maxcut does n*4^r steps; at this n and r that "
+                                   "exceeds the budget n*4^r <= 4194304")
 
 
 def test_exact_maxcut_at_large_n():

@@ -478,6 +478,13 @@ def test_circulant_errors():
     code, payload = invoke_json("circulant", "--n", "257", "--r", "7",
                                 "--method", "exact")
     assert code == 5 and payload["error"]["code"] == "budget-exceeded"
+    # an r past the cap at every n, and an n too long to print, give the
+    # same record instead of a failed int-to-str conversion
+    for argv in (["--n", "100000", "--r", "10000", "--method", "exact"],
+                 ["--n", "9" * 4300, "--r", "1", "--method", "exact"],
+                 ["--n", "9" * 4300, "--r", "1", "--method", "mohar"]):
+        code, payload = invoke_json("circulant", *argv)
+        assert code == 5 and payload["error"]["code"] == "budget-exceeded", argv[1:4]
     code, payload = invoke_json("circulant", "--n", "8", "--r", "0",
                                 "--method", "exact")
     assert code == 6
@@ -650,7 +657,7 @@ FAILURE_BATTERY = (
 )
 
 # sha256 over json.dumps of every (argv, exit code, stdout) in the battery
-FAILURE_BATTERY_DIGEST = "b2d1bb1718cd76e53919a303952c72548bd9fe563a96f195dac09437db2cf454"
+FAILURE_BATTERY_DIGEST = "216dcbdedd704933eee20b5133dc985763cc5759e4d44175f0fa8448594b3629"
 
 
 def test_failure_records_frozen(tmp_path, monkeypatch):

@@ -1,10 +1,16 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
-from conftest import brute_best_completion, brute_max_edges, canonical_colorings_by_tuples
+from conftest import (
+    brute_best_completion,
+    brute_max_edges,
+    canonical_colorings_by_tuples,
+    node_state_by_definition,
+)
 from outerkplanar import (
     BudgetExceededError,
     ConvexGraph,
@@ -25,7 +31,7 @@ from outerkplanar.search import (
     _MODE_COLORINGS,
     _problem,
     _PROVEN_OPTIMA,
-    _vertex_bound,
+    _state,
     _view,
 )
 
@@ -227,7 +233,8 @@ def test_upper_prune_examples():
     with pytest.raises(ValueError, match="not outer"):
         upper_prune(5, 1, list(k5.edges), [])
     # a huge k costs no more than a small one: no candidate's cost exceeds
-    # the state's size, so the node state holds that many cost layers
+    # the number of candidates, so the node state holds at most one more
+    # cost layer than that
     assert upper_prune(6, 10**12, [(0, 3)], [(1, 4), (2, 5)]) == 3
     # vertex 6 keeps one candidate: the 16 candidates and the closed form
     # 2n - 3 = 11 give way to opt(6, 0) + 1 = 10, which (0, 6) attains
@@ -289,6 +296,22 @@ def test_upper_prune_is_admissible(rng, monkeypatch):
                 m.setattr(search, "_PROVEN_OPTIMA", {})
                 binding += bound < upper_prune(n, k, state, remaining, bipartite=bipartite)
     assert binding >= 50  # the vertex term was tested where it decides
+
+
+def test_ceiling_only_stops_the_search(monkeypatch):
+    # The closed-form ceiling may end a search early but never changes its
+    # answer: lifted to C(n, 2), it leaves every value, proof flag and
+    # witness as they were.  A ceiling below the optimum fails here, as the
+    # k = 3 small_k row did while it was marked valid: general (10,3)
+    # printed 26, proven, and the optimum is 27.
+    cells = [(mode, n, k) for mode in SEARCH_MODES for n in range(3, 11)
+             if not (mode == "bipartite_alternating" and n % 2) for k in range(4)]
+    want = [max_edges(n, k, mode) for mode, n, k in cells]
+    monkeypatch.setattr(search, "_least_upper", lambda n, k, bipartite: math.comb(n, 2))
+    for cell, res in zip(cells, want):
+        lifted = max_edges(cell[1], cell[2], cell[0])
+        assert (lifted.max_edges, lifted.proven_optimal, lifted.witness) \
+            == (res.max_edges, res.proven_optimal, res.witness), cell
 
 
 def test_canonical_form_examples():
@@ -537,7 +560,7 @@ def test_budget_cut_incumbents_frozen():
 
 
 def test_packed_live_degrees_match_popcounts(rng):
-    # the search's guard-bit test prunes exactly where _vertex_bound, on
+    # the search's guard-bit test prunes exactly where the vertex term, on
     # per-vertex popcounts, is at most the incumbent: with th1 = best -
     # opt(n - 1) + 1, some live degree is below th1
     for _, n, coloring in every_search_coloring(range(2, 13)):
@@ -552,7 +575,39 @@ def test_packed_live_degrees_match_popcounts(rng):
             assert [deg >> f * v & (1 << f) - 1 for v in range(n)] == degrees
             for th1 in range(1, 2 ** (f - 1) + 1):  # best - opt(n - 1) <= n - 1 < 2^(f-1)
                 cut = ((deg | guard) - th1 * ones) & guard != guard
-                assert cut == (_vertex_bound(0, degrees) <= th1 - 1), (n, coloring, live, th1)
+                assert cut == (min(degrees) <= th1 - 1), (n, coloring, live, th1)
+
+
+def test_node_state_matches_definitions(rng):
+    # _state against conftest's oracle, on random included and undecided
+    # sets over every view with n <= 9, at small k and at a huge one
+    for _, n, coloring in every_search_coloring(range(2, 10)):
+        cands, cross, *_, free = _view(n, coloring)
+        m = len(cands)
+        for k in (0, 1, 2, 3, 4, 10**12):
+            # the root, as _solve once built it by hand: the candidates
+            # that cross no candidate included, the others addable at cost 0
+            rest = (1 << m) - (1 << free)
+            assert _state(cross, k, (1 << free) - 1, (1 << m) - 1) \
+                == (rest, [rest] + [0] * min(k, m), k * free, free), (n, coloring, k)
+            for _ in range(4):
+                p = rng.random() / 2
+                included = sum(1 << i for i in range(m) if rng.random() < p)
+                undecided = rng.getrandbits(m) if m else 0
+                want = node_state_by_definition(
+                    n, k, {e for i, e in enumerate(cands) if included >> i & 1},
+                    {e for i, e in enumerate(cands) if undecided >> i & 1})
+                if want is None:
+                    with pytest.raises(ValueError, match="^state is not outer k-planar$"):
+                        _state(cross, k, included, undecided)
+                    continue
+                feas, layers, cap, m_inc = _state(cross, k, included, undecided)
+                addable, costs, headroom, edges = want
+                assert feas == sum(1 << cands.index(e) for e in addable)
+                assert len(layers) == min(k, m) + 1
+                assert layers == [sum(1 << cands.index(e) for e in addable if costs[e] == c)
+                                  for c in range(len(layers))]
+                assert (cap, m_inc) == (headroom, edges)
 
 
 def test_proven_optima_reprove():
