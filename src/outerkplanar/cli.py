@@ -338,8 +338,8 @@ def _cmd_xorsum(args) -> str:
 
 # ----------------------------------------------------------------- sweep
 
-# The most cells a sweep evaluates: n 2..498 by k 0..200 (99,897 cells) takes
-# 2.7 s and 106 MB as CSV, 6.2 s and 840 MB as JSON (Python 3.11, 2-core Linux).
+# The most cells a sweep evaluates: it admits the full n 2..498 by k 0..200 grid
+# (99,897 cells) and bounds a JSON sweep, which holds every row before writing.
 _SWEEP_MAX_CELLS = 100_000
 
 
@@ -356,23 +356,22 @@ def _cmd_sweep(args) -> str:
         raise CliError("invalid-flags", "--k-from must be non-negative")
     cells = (((args.n_to - args.n_from) // args.n_step + 1)
              * ((args.k_to - args.k_from) // args.k_step + 1))
-    if cells > _SWEEP_MAX_CELLS:
-        raise CliError("budget-exceeded", f"the grid has {cells} cells; "
-                                          f"that exceeds the cap of {_SWEEP_MAX_CELLS}")
-    rows = []
+    if cells > _SWEEP_MAX_CELLS:  # the message names no count: it may be too long to print
+        raise CliError("budget-exceeded", "the grid has more cells than the cap of "
+                                          f"{_SWEEP_MAX_CELLS}")
     k_min = _k_min(args)
-    for n in range(args.n_from, args.n_to + 1, args.n_step):
-        for k in range(args.k_from, args.k_to + 1, args.k_step):
-            report = bound_report(n, k, bipartite=args.bipartite, k_min=k_min)
-            for e in report.entries:
-                rows.append((n, k, e.name, e.value, e.valid))
+    # one bound_report per cell, in grid order, whichever format writes the
+    # entries: the benchmark's traced bounds.sweep_s times those calls
+    entries = ((n, k, e) for n in range(args.n_from, args.n_to + 1, args.n_step)
+               for k in range(args.k_from, args.k_to + 1, args.k_step)
+               for e in bound_report(n, k, bipartite=args.bipartite, k_min=k_min).entries)
     if args.format == "json":
-        return _dump([{"n": n, "k": k, "bound_name": name,
-                       "value": None if value is None else _num(value, args.precision),
-                       "valid": valid} for n, k, name, value, valid in rows])
+        return _dump([{"n": n, "k": k, "bound_name": e.name,
+                       "value": None if e.value is None else _num(e.value, args.precision),
+                       "valid": e.valid} for n, k, e in entries])
     return _csv(["n", "k", "bound_name", "value", "valid"],
-                ([n, k, name, "" if value is None else _fmt(value, args.precision), valid]
-                 for n, k, name, value, valid in rows))
+                ([n, k, e.name, "" if e.value is None else _fmt(e.value, args.precision),
+                  e.valid] for n, k, e in entries))
 
 
 # ---------------------------------------------------------------- parser
@@ -383,6 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Edge bounds, constructions, and exact search "
                                  "for graphs on convex point sets.")
     sub = parser.add_subparsers(dest="command", required=True)
+    k_threshold_help = ("smallest k at which the k-threshold-gated variants are "
+                        "reported valid (default bounds.DEFAULT_K_MIN)")
 
     p = sub.add_parser("bounds", help="closed-form bounds for one (n, k)")
     p.add_argument("--n", type=int, required=True)
@@ -394,8 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--precision", type=int, default=6, metavar="DIGITS")
     p.add_argument("--k-threshold", type=int, default=None, metavar="K",
-                   help="smallest k at which the k-threshold-gated variants "
-                        "are reported valid (default bounds.DEFAULT_K_MIN)")
+                   help=k_threshold_help)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("construct", help="emit a generated graph as JSON")
@@ -454,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bipartite", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.add_argument("--precision", type=int, default=6, metavar="DIGITS")
-    p.add_argument("--k-threshold", type=int, default=None, metavar="K")
+    p.add_argument("--k-threshold", type=int, default=None, metavar="K",
+                   help=k_threshold_help)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -423,21 +423,15 @@ def _canonical_colorings(n: int) -> tuple[tuple[int, ...], ...]:
     """All 2-colorings with vertex 0 on side 0, one per dihedral/swap orbit.
 
     Vertex i > 0 takes bit i - 1 of the loop counter, and a coloring is
-    kept when, read as a tuple, it is the least of its orbit.  The orbit
-    is tested on n-bit ints whose most significant bit is vertex 0, so
-    that integer order is tuple order: the images are the rotations of
-    the coloring and of its reversal (the reflections), and their
-    complements (the color swap).
+    kept when it is the least tuple among its images under ``_dihedral(n)``
+    and their color swaps.
     """
-    mask = (1 << n) - 1
     reps = []
     for bits in range(1 << (n - 1)):
-        value = int(format(bits, f"0{n - 1}b")[::-1], 2)  # vertex i at bit n-1-i
-        mirrored = int(format(value, f"0{n}b")[::-1], 2)
-        images = (((word << t) | (word >> (n - t))) & mask
-                  for word in (value, mirrored) for t in range(n))
-        if all(value <= img and value <= img ^ mask for img in images):
-            reps.append(tuple((value >> (n - 1 - i)) & 1 for i in range(n)))
+        c = (0, *((bits >> i) & 1 for i in range(n - 1)))
+        images = (tuple(c[i] for i in p) for p in _dihedral(n))
+        if all(c <= img and c <= tuple(1 - v for v in img) for img in images):
+            reps.append(c)
     return tuple(reps)
 
 

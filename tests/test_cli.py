@@ -581,11 +581,15 @@ def test_sweep_refuses_a_grid_above_its_cap(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(cli, "bound_report", recorder)
+    refusal = (5, {"error": {"code": "budget-exceeded",
+                             "message": "the grid has more cells than the cap of "
+                                        f"{cli._SWEEP_MAX_CELLS}"}})
     assert invoke_json("sweep", "--n-from", "2", "--n-to", "100000000",
-                       "--k-from", "0", "--k-to", "0") == (5, {"error": {
-                           "code": "budget-exceeded",
-                           "message": "the grid has 99999999 cells; that exceeds the cap of "
-                                      f"{cli._SWEEP_MAX_CELLS}"}})
+                       "--k-from", "0", "--k-to", "0") == refusal
+    # a cell count too long to print gives the same record instead of a
+    # failed int-to-str conversion
+    assert invoke_json("sweep", "--n-from", "2", "--n-to", "9" * 4300,
+                       "--k-from", "0", "--k-to", "9" * 4300) == refusal
     assert called == []
     # the cells are counted with the steps: n 10, 13, 16 (19) by k 0, 1
     monkeypatch.setattr(cli, "_SWEEP_MAX_CELLS", 6)
@@ -593,8 +597,27 @@ def test_sweep_refuses_a_grid_above_its_cap(monkeypatch):
     assert invoke("sweep", "--n-to", "16", *grid)[0] == 0 and len(called) == 6
     called.clear()
     assert invoke_json("sweep", "--n-to", "19", *grid)[1]["error"]["message"] == (
-        "the grid has 8 cells; that exceeds the cap of 6")
+        "the grid has more cells than the cap of 6")
     assert called == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_reports_each_cell_once_in_grid_order(monkeypatch, fmt):
+    # the benchmark's traced bounds.sweep_s times bound_report under a sweep,
+    # so a grid walked twice, or once per format, would move it
+    import outerkplanar.cli as cli
+
+    called = []
+    original = cli.bound_report
+
+    def recorder(n, k, **kwargs):
+        called.append((n, k))
+        return original(n, k, **kwargs)
+
+    monkeypatch.setattr(cli, "bound_report", recorder)
+    assert invoke("sweep", "--n-from", "10", "--n-to", "16", "--n-step", "3",
+                  "--k-from", "1", "--k-to", "5", "--k-step", "2", "--format", fmt)[0] == 0
+    assert called == [(n, k) for n in (10, 13, 16) for k in (1, 3, 5)]
 
 
 # Failing invocations whose records are pinned: they cover every subcommand,
