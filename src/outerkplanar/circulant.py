@@ -13,9 +13,9 @@ spectral bound says maxcut <= n/4 * max_j (2r - lambda_j).
 
 Two cruder but closed-form max-cut bounds are provided alongside: the
 additive-constant bound (5r/8 + 76)n, and its refinement that uses the
-spectral constant (5r/8 + 0.25)n once r >= 176 (where the Dirichlet
-kernel's minimum is known to stay above -0.5r) and the trivial rn
-otherwise.  The Dirichlet-kernel minimum estimate behind that refinement,
+spectral constant (5r/8 + 0.25)n where the Dirichlet-kernel minimum
+estimate below stays above -r/2 (which first holds at r = 176) and the
+trivial rn otherwise.  That estimate,
 
     min_theta D_r(theta) >= min(-5/12, 1/r + C0 - 8*pi/(2*(r+1))) * r
 
@@ -103,24 +103,27 @@ def _numpy():
     return numpy
 
 
-def dirichlet_kernel(r: int, theta):
-    """D_r(theta) = 1 + 2*sum_{k=1..r} cos(k*theta), by direct summation.
-
-    Accepts a scalar or an ndarray of angles; D_r(0) = 2r + 1 exactly.
-    """
+def _on_angles(r: int, theta, kernel):
+    """kernel(np, r, angles) for an index r >= 0 and a scalar or ndarray of
+    angles; a scalar theta gives a float."""
     np = _numpy()
     r = operator.index(r)
     if r < 0:
         raise ValueError("r must be non-negative")
-    th = np.asarray(theta, dtype=float)
-    if r == 0:
-        out = np.ones_like(th)
-    else:
+    out = kernel(np, r, np.asarray(theta, dtype=float))
+    return float(out) if np.ndim(theta) == 0 else out
+
+
+def dirichlet_kernel(r: int, theta):
+    """D_r(theta) = 1 + 2*sum_{k=1..r} cos(k*theta), by direct summation.
+
+    Accepts a scalar or an ndarray of angles; D_r(0) = 2r + 1 and D_0 = 1 exactly.
+    """
+    def by_sum(np, r, th):
         ks = np.arange(1, r + 1, dtype=float)
-        out = 1.0 + 2.0 * np.cos(np.multiply.outer(th, ks)).sum(axis=-1)
-    if np.ndim(theta) == 0:
-        return float(out)
-    return out
+        return 1.0 + 2.0 * np.cos(np.multiply.outer(th, ks)).sum(axis=-1)
+
+    return _on_angles(r, theta, by_sum)
 
 
 def dirichlet_kernel_closed(r: int, theta):
@@ -129,20 +132,15 @@ def dirichlet_kernel_closed(r: int, theta):
     Undefined at multiples of 2*pi (where the sum form should be used);
     raises there rather than returning inf/nan.
     """
-    np = _numpy()
-    r = operator.index(r)
-    if r < 0:
-        raise ValueError("r must be non-negative")
-    th = np.asarray(theta, dtype=float)
-    denom = np.sin(th / 2.0)
-    # sin(th/2) only hits exact 0.0 at th = 0; near other multiples of
-    # 2*pi it bottoms out around 1e-16, where the quotient is pure noise
-    if np.any(np.abs(denom) < 1e-12):
-        raise ValueError("closed form is undefined at multiples of 2*pi")
-    out = np.sin((r + 0.5) * th) / denom
-    if np.ndim(theta) == 0:
-        return float(out)
-    return out
+    def closed(np, r, th):
+        denom = np.sin(th / 2.0)
+        # sin(th/2) only hits exact 0.0 at th = 0; near other multiples of
+        # 2*pi it bottoms out around 1e-16, where the quotient is pure noise
+        if np.any(np.abs(denom) < 1e-12):
+            raise ValueError("closed form is undefined at multiples of 2*pi")
+        return np.sin((r + 0.5) * th) / denom
+
+    return _on_angles(r, theta, closed)
 
 
 def adjacency_eigenvalue(spec: CirculantSpec, j: int) -> float:
@@ -195,8 +193,8 @@ def mercer_inner(r: int) -> float:
 def mercer_min_bound(r: int) -> float:
     """Lower bound min(-5/12, mercer_inner(r)) * r on min_theta D_r(theta).
 
-    For r >= 176 the inner branch exceeds -0.5, so the bound stays above
-    -r/2; that is exactly what the refined max-cut bound needs.
+    The refined max-cut bound needs it above -r/2, which first holds at
+    r = 176 and holds for every larger r: mercer_inner increases with r.
     """
     r = operator.index(r)
     return min(-5.0 / 12.0, mercer_inner(r)) * r
@@ -205,15 +203,15 @@ def mercer_min_bound(r: int) -> float:
 def lemma_maxcut_bound(spec: CirculantSpec, refined: bool = False) -> float:
     """Closed-form max-cut upper bound for C_n^{1..r}.
 
-    Unrefined: (5r/8 + 76) * n.  Refined: min(rn, (5r/8 + 0.25) * n)
-    when r >= 176 (the window where the kernel-minimum estimate applies),
-    and the trivial rn below that.
+    Unrefined: (5r/8 + 76) * n.  Refined: (5r/8 + 0.25) * n where the
+    kernel-minimum estimate applies, mercer_min_bound(r) > -r/2 (from
+    r = 176 on), and the trivial rn elsewhere.
     """
     n, r = spec.n, spec.r
     if not refined:
         return (5.0 * r / 8.0 + 76.0) * n
-    if r >= 176:
-        return min(float(r * n), (5.0 * r / 8.0 + 0.25) * n)
+    if r >= 2 and mercer_min_bound(r) > -r / 2:
+        return (5.0 * r / 8.0 + 0.25) * n
     return float(r * n)
 
 
@@ -319,13 +317,11 @@ def xor_sum(bits, r: int, mode: str = "cyclic") -> int:
     seq = _zero_one(bits)
     if not seq:
         raise ValueError("bits must be non-empty")
-    if not isinstance(bits, str):
-        bits = "".join(map(str, seq))
     r = operator.index(r)
     if r < 1:
         raise ValueError("r must be at least 1")
     # s_i is bit n-1-i of x; each shift by d lines every s_i up with s_{i+d}
-    n, x = len(bits), int(bits, 2)
+    n, x = len(seq), int("".join(map(str, seq)), 2)
     if mode == "cyclic":
         # shifts repeat with period n and the shift by n adds nothing, so
         # r = q*n + t counts shifts 1..n-1 q times and then shifts 1..t

@@ -27,6 +27,7 @@ import argparse
 import functools
 import io
 import json
+import math
 import os
 import sys
 from importlib import import_module
@@ -103,14 +104,19 @@ def _check_precision(args) -> None:
         raise CliError("invalid-flags", "--precision must be at most 1000")
 
 
-def _fmt(value: float, precision: int) -> str:
-    """A real rounded to `precision` significant digits, as text."""
+def _fmt(value: float | None, precision: int) -> str:
+    """A real rounded to `precision` significant digits, as text; "" for no
+    value.  A non-finite real raises OverflowError: no output prints one."""
+    if value is None:
+        return ""
+    if not math.isfinite(value):
+        raise OverflowError("the result lies outside the float range")
     return format(value, f".{precision}g")
 
 
-def _num(value: float, precision: int) -> float:
-    """A real rounded to `precision` significant digits, for JSON."""
-    return float(_fmt(value, precision))
+def _num(value: float | None, precision: int) -> float | None:
+    """_fmt's rounding as a JSON number; None (null) for no value."""
+    return None if value is None else float(_fmt(value, precision))
 
 
 def _dump(payload: dict | list) -> str:
@@ -138,12 +144,6 @@ def _load_graph(path: str):
 
 
 # ---------------------------------------------------------------- bounds
-
-
-def _report_payload(report, precision: int) -> dict:
-    entries = [{**e._asdict(), "value": None if e.value is None else _num(e.value, precision)}
-               for e in report.entries]
-    return {**report._asdict(), "entries": entries}
 
 
 def _csv(header, rows) -> str:
@@ -186,9 +186,10 @@ def _cmd_bounds(args) -> str:
                           k_min=_k_min(args))
     if args.format == "csv":
         return _csv(["name", "kind", "value", "valid", "source"],
-                    ([e.name, e.kind, "" if e.value is None else _fmt(e.value, args.precision),
-                      e.valid, e.source] for e in report.entries))
-    return _dump(_report_payload(report, args.precision))
+                    ([e.name, e.kind, _fmt(e.value, args.precision), e.valid, e.source]
+                     for e in report.entries))
+    entries = [{**e._asdict(), "value": _num(e.value, args.precision)} for e in report.entries]
+    return _dump({**report._asdict(), "entries": entries})
 
 
 # ------------------------------------------------------------- construct
@@ -367,11 +368,11 @@ def _cmd_sweep(args) -> str:
                for e in bound_report(n, k, bipartite=args.bipartite, k_min=k_min).entries)
     if args.format == "json":
         return _dump([{"n": n, "k": k, "bound_name": e.name,
-                       "value": None if e.value is None else _num(e.value, args.precision),
-                       "valid": e.valid} for n, k, e in entries])
+                       "value": _num(e.value, args.precision), "valid": e.valid}
+                      for n, k, e in entries])
     return _csv(["n", "k", "bound_name", "value", "valid"],
-                ([n, k, e.name, "" if e.value is None else _fmt(e.value, args.precision),
-                  e.valid] for n, k, e in entries))
+                ([n, k, e.name, _fmt(e.value, args.precision), e.valid]
+                 for n, k, e in entries))
 
 
 # ---------------------------------------------------------------- parser

@@ -54,7 +54,12 @@ def test_spec_validation():
 
 
 def test_dirichlet_sum_form():
-    assert dirichlet_kernel(0, 1.234) == 1.0
+    # D_0's sum is empty, so it is exactly 1 at every angle, finite or not
+    for theta in (1.234, 0.0, math.nan, math.inf, -math.inf):
+        assert dirichlet_kernel(0, theta) == 1.0
+    angles = np.array([[1.234, 0.0], [math.nan, math.inf]])
+    out = dirichlet_kernel(0, angles)
+    assert out.shape == angles.shape and (out == 1.0).all()
     for r in range(6):
         assert dirichlet_kernel(r, 0.0) == pytest.approx(2 * r + 1, abs=1e-12)
     # known root: theta = 2*pi/7 kills D_3
@@ -182,6 +187,8 @@ def test_lemma_maxcut_bound():
     assert lemma_maxcut_bound(CirculantSpec(10, 2)) == pytest.approx(772.5)
     # refinement only kicks in from r = 176; below it falls back to rn
     assert lemma_maxcut_bound(CirculantSpec(10, 2), refined=True) == 20.0
+    assert lemma_maxcut_bound(CirculantSpec(400, 175), refined=True) == 175 * 400
+    assert lemma_maxcut_bound(CirculantSpec(400, 176), refined=True) == (5 * 176 / 8 + 0.25) * 400
     big = CirculantSpec(1000, 200)
     assert lemma_maxcut_bound(big, refined=True) == pytest.approx(125250.0)
     assert lemma_maxcut_bound(big, refined=True) < lemma_maxcut_bound(big)

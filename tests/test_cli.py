@@ -21,9 +21,13 @@ def invoke(*argv):
     return code, out.getvalue()
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not valid JSON (RFC 8259)")
+
+
 def invoke_json(*argv):
     code, text = invoke(*argv)
-    return code, json.loads(text)
+    return code, json.loads(text, parse_constant=_no_constant)
 
 
 def test_bounds_single_variant():
@@ -721,6 +725,26 @@ def test_hostile_numbers_give_records():
     ):
         code, payload = invoke_json(*argv)
         assert code == _EXIT_CODES[payload["error"]["code"]], argv
+    # a value past the float range, from n and k that fit in a float, is
+    # refused as a value: no output prints Infinity, NaN or inf
+    n, k = str(10**300), str(10**16)
+    for argv in (
+        ["bounds", "--n", n, "--k", k],
+        ["bounds", "--n", n, "--k", k, "--format", "csv"],
+        ["bounds", "--n", n, "--k", k, "--variant", "common"],
+        ["sweep", "--n-from", n, "--n-to", n, "--k-from", k, "--k-to", k],
+        ["sweep", "--n-from", n, "--n-to", n, "--k-from", k, "--k-to", k, "--format", "json"],
+        ["circulant", "--n", str(10**307), "--r", "1", "--method", "lemma"],
+    ):
+        assert invoke_json(*argv) == (6, {"error": {
+            "code": "invalid-input",
+            "message": "the result lies outside the float range"}}), argv
+    # an overflow inside a bound's evaluation is refused the same way
+    assert invoke_json("bounds", "--n", n, "--k", str(10**20)) == (6, {"error": {
+        "code": "invalid-input", "message": "int too large to convert to float"}})
+    # the refined value fits even where r*n does not
+    assert invoke_json("circulant", "--n", str(10**306), "--r", "200",
+                       "--method", "lemma-refined")[1]["value"] == 1.2525e308
     assert invoke_json("circulant", "--n", huge, "--r", "1",
                        "--method", "mohar")[1]["error"]["code"] == "budget-exceeded"
     # a value too large for a float is named by its flag
