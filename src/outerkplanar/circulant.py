@@ -129,10 +129,13 @@ def dirichlet_kernel(r: int, theta):
 def dirichlet_kernel_closed(r: int, theta):
     """Closed form sin((r+1/2)*theta)/sin(theta/2).
 
-    Undefined at multiples of 2*pi (where the sum form should be used);
-    raises there rather than returning inf/nan.
+    Undefined at multiples of 2*pi (where the sum form should be used) and
+    at non-finite angles (inf and nan); raises ValueError there rather than
+    returning inf/nan.
     """
     def closed(np, r, th):
+        if not np.isfinite(th).all():
+            raise ValueError("closed form is undefined at non-finite angles")
         denom = np.sin(th / 2.0)
         # sin(th/2) only hits exact 0.0 at th = 0; near other multiples of
         # 2*pi it bottoms out around 1e-16, where the quotient is pure noise

@@ -95,11 +95,17 @@ class _Parser(argparse.ArgumentParser):
         raise CliError("invalid-flags", message)
 
 
+def _at_least(value: int, low: int, flag: str) -> None:
+    """Refuse ``value`` below ``low`` as an invalid ``flag``."""
+    if value < low:
+        floor = "non-negative" if low == 0 else f"at least {low}"
+        raise CliError("invalid-flags", f"{flag} must be {floor}")
+
+
 def _check_precision(args) -> None:
     # from 767 digits up every double prints the same bytes; far above that
     # format() runs out of memory or refuses the format string
-    if args.precision < 1:
-        raise CliError("invalid-flags", "--precision must be at least 1")
+    _at_least(args.precision, 1, "--precision")
     if args.precision > 1000:
         raise CliError("invalid-flags", "--precision must be at most 1000")
 
@@ -159,18 +165,15 @@ def _csv(header, rows) -> str:
 def _k_min(args) -> int:
     if args.k_threshold is None:
         return DEFAULT_K_MIN
-    if args.k_threshold < 0:
-        raise CliError("invalid-flags", "--k-threshold must be non-negative")
+    _at_least(args.k_threshold, 0, "--k-threshold")
     return args.k_threshold
 
 
 def _cmd_bounds(args) -> str:
     _load("bounds")
     _check_precision(args)
-    if args.n < 2:
-        raise CliError("invalid-flags", "--n must be at least 2")
-    if args.k < 0:
-        raise CliError("invalid-flags", "--k must be non-negative")
+    _at_least(args.n, 2, "--n")
+    _at_least(args.k, 0, "--k")
     if args.variant is not None:
         table = BIPARTITE_UPPER_VARIANTS if args.bipartite else GENERAL_UPPER_VARIANTS
         if args.variant not in table:
@@ -230,8 +233,8 @@ _EDGE_ROW = ('    {\n      "edge": [\n        %d,\n        %d\n      ],\n'
 def _cmd_verify(args) -> str:
     _load("geometry")
     g = _load_graph(args.file)
-    if args.k is not None and args.k < 0:
-        raise CliError("invalid-flags", "--k must be non-negative")
+    if args.k is not None:
+        _at_least(args.k, 0, "--k")
     counts = crossing_counts(g)
     worst = max(counts.values(), default=0)
     order, degeneracy = degeneracy_order(g)
@@ -269,8 +272,7 @@ def _search_payload(result) -> dict:
 
 def _node_budget(args) -> int | None:
     if args.budget_nodes is not None:
-        if args.budget_nodes < 0:
-            raise CliError("invalid-flags", "--budget-nodes must be non-negative")
+        _at_least(args.budget_nodes, 0, "--budget-nodes")
         return args.budget_nodes
     raw = os.environ.get(ENV_NODE_BUDGET)
     if raw is None or raw == "":
@@ -280,8 +282,7 @@ def _node_budget(args) -> int | None:
     except ValueError as exc:
         raise CliError("invalid-flags",
                        f"{ENV_NODE_BUDGET} must be an integer, got {raw!r}") from exc
-    if budget < 0:
-        raise CliError("invalid-flags", f"{ENV_NODE_BUDGET} must be non-negative")
+    _at_least(budget, 0, ENV_NODE_BUDGET)
     return budget
 
 
@@ -328,8 +329,7 @@ def _cmd_xorsum(args) -> str:
     if not bits or any(ch not in "01" for ch in bits):
         raise CliError("invalid-input",
                        "--bits must be a nonempty string over {0,1}")
-    if args.r < 1:
-        raise CliError("invalid-flags", "--r must be at least 1")
+    _at_least(args.r, 1, "--r")
     from . import circulant as circ
 
     mode = "bounded" if args.bounded else "cyclic"
@@ -347,14 +347,12 @@ _SWEEP_MAX_CELLS = 100_000
 def _cmd_sweep(args) -> str:
     _load("bounds")
     _check_precision(args)
-    if args.n_from < 2:
-        raise CliError("invalid-flags", "--n-from must be at least 2")
+    _at_least(args.n_from, 2, "--n-from")
     if args.n_to < args.n_from or args.k_to < args.k_from:
         raise CliError("invalid-flags", "grid is empty: check --n-to / --k-to")
     if args.n_step < 1 or args.k_step < 1:
         raise CliError("invalid-flags", "steps must be at least 1")
-    if args.k_from < 0:
-        raise CliError("invalid-flags", "--k-from must be non-negative")
+    _at_least(args.k_from, 0, "--k-from")
     cells = (((args.n_to - args.n_from) // args.n_step + 1)
              * ((args.k_to - args.k_from) // args.k_step + 1))
     if cells > _SWEEP_MAX_CELLS:  # the message names no count: it may be too long to print

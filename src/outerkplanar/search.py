@@ -39,7 +39,7 @@ live at the vertex, included or addable.  The optima on n - 1 points
 come from ``_optima._PROVEN_OPTIMA``, a frozen table of values this
 search proved for n <= 11 and k <= 6, each row with the rows above it;
 where it has no entry the term is left out.
-Each node packs every vertex's live degree in one int (``_problem``),
+Each node packs every vertex's live degree in one int (``_view``),
 so the term costs a few big-int operations per node, not a loop over
 the vertices; a node takes its parent's packed degrees and subtracts
 the candidates it lost only once it passes ``_node_bound``.
@@ -65,10 +65,11 @@ improvement, so repeated runs return byte-identical results, including
 the witness.  The incumbent is the bitset of included candidates, decoded
 to edges once, for the result.  What a search reads that does not depend
 on k is memoized, so a loop over k at one n builds it once: the
-bipartite_free colorings, the chords with their crossing bitsets and
-vertex words (``_problem``), the dihedral maps (``_dihedral``), and each
-coloring's share of those with its symmetry group (``_view``).  The
-closed-form bound is memoized in ``bounds``.
+bipartite_free colorings, the dihedral maps (``_dihedral``), and one
+record per coloring (``_view``): its candidates with their crossing
+bitsets and vertex words, and its symmetry group.  The general view,
+over every chord, holds the crossing table, and each coloring's view is
+cut from it.  The closed-form bound is memoized in ``bounds``.
 """
 
 from __future__ import annotations
@@ -131,45 +132,12 @@ def canonical_form(g: ConvexGraph) -> tuple[tuple[int, int], ...]:
                      for p in _dihedral(g.n)))
 
 
-class _Problem(NamedTuple):
-    chords: tuple[tuple[int, int], ...]  # every chord, in candidate order
-    index: dict[tuple[int, int], int]  # each chord's position in chords
-    cross: tuple[int, ...]
-    words: tuple[int, ...]
-    ones: int
-    guard: int
-
-
-@functools.cache
-def _problem(n: int) -> _Problem:
-    """What a search on n points reads that depends on n alone; read only.
-
-    Candidate order is increasing chord length, then lexicographic.
-    ``cross[i]`` is the bitset of the chords that chord i crosses, set from
-    ``geometry._crossing_pairs`` in C(n, 4) steps, not m^2 tests.  Chord
-    (a, b) has the word 2^(f*a) + 2^(f*b): vertex v's live degree is packed
-    in the f = (n - 1).bit_length() + 1 bits at f*v, below its bit of
-    ``guard``, and ``ones`` has a 1 in each field.
-    """
-    chords = sorted(((a, b) for a in range(n) for b in range(a + 1, n)),
-                    key=lambda e: (chord_length(n, e), e))
-    index = {e: i for i, e in enumerate(chords)}
-    cross = [0] * len(chords)
-    for e, f in _crossing_pairs(n):
-        i = index[e]
-        j = index[f]
-        cross[i] |= 1 << j
-        cross[j] |= 1 << i
-    f = (n - 1).bit_length() + 1
-    ones = sum(1 << f * v for v in range(n))
-    return _Problem(tuple(chords), index, tuple(cross),
-                    tuple(1 << f * a | 1 << f * b for a, b in chords), ones, ones << f - 1)
-
-
 class _View(NamedTuple):
     cands: tuple[tuple[int, int], ...]
     cross: tuple[int, ...]
     words: tuple[int, ...]
+    ones: int
+    guard: int
     group: tuple[tuple[int, ...], ...]
     free: int
 
@@ -178,40 +146,63 @@ class _View(NamedTuple):
 def _view(n: int, coloring) -> _View:
     """One coloring's search record (None = no coloring); read only.
 
-    The candidates are the bichromatic chords of ``_problem(n)``, in its
-    order; their bitsets and words are cut from it and re-indexed over the
-    candidates.  ``group`` holds the maps of ``_dihedral(n)`` that send the
-    candidate set onto itself, as index maps p (candidate j goes to p[j],
-    and cross[j] to cross[p[j]]).  A map keeps the
-    bichromatic pairs exactly when it keeps the coloring or swaps its
+    Candidate order is increasing chord length, then lexicographic.  The
+    general view (coloring None) takes every chord and holds the crossing
+    table: ``cross[i]`` is the bitset of the candidates that candidate i
+    crosses, set from ``geometry._crossing_pairs`` in C(n, 4) steps, not
+    m^2 tests.  A coloring's view takes the bichromatic chords, in that
+    order, and cuts its bitsets and words from the general view,
+    re-indexed over its candidates.  Chord (a, b) has the word
+    2^(f*a) + 2^(f*b): vertex v's live degree is packed in the
+    f = (n - 1).bit_length() + 1 bits at f*v, below its bit of ``guard``,
+    and ``ones`` has a 1 in each field.  ``group`` holds the maps of
+    ``_dihedral(n)`` that send the candidate set onto itself, as index maps
+    p (candidate j goes to p[j], and cross[j] to cross[p[j]]).  A map keeps
+    the bichromatic pairs exactly when it keeps the coloring or swaps its
     colors, which is tested first.  Maps that move no candidate are left
     out, so each entry is a distinct permutation of the candidates.
     ``free`` counts the candidates before the first that crosses another.
     """
-    prob = _problem(n)
-    keep = [g for g, (a, b) in enumerate(prob.chords)
-            if coloring is None or coloring[a] != coloring[b]]
-    pos = dict(zip(keep, range(len(keep))))  # general index -> candidate index
-    mask = sum(1 << g for g in keep)
-    cross = []
-    for g in keep:
-        x = prob.cross[g] & mask
-        y = 0
-        while x:
-            low = x & -x
-            y |= 1 << pos[low.bit_length() - 1]
-            x ^= low
-        cross.append(y)
-    cands = tuple(prob.chords[g] for g in keep)
+    if coloring is None:
+        cands = tuple(sorted(((a, b) for a in range(n) for b in range(a + 1, n)),
+                             key=lambda e: (chord_length(n, e), e)))
+        index = {e: i for i, e in enumerate(cands)}
+        cross = [0] * len(cands)
+        for e, f in _crossing_pairs(n):
+            i = index[e]
+            j = index[f]
+            cross[i] |= 1 << j
+            cross[j] |= 1 << i
+        f = (n - 1).bit_length() + 1
+        ones = sum(1 << f * v for v in range(n))
+        words = tuple(1 << f * a | 1 << f * b for a, b in cands)
+        guard = ones << f - 1
+    else:
+        gen = _view(n, None)
+        keep = [g for g, (a, b) in enumerate(gen.cands) if coloring[a] != coloring[b]]
+        pos = dict(zip(keep, range(len(keep))))  # general index -> candidate index
+        mask = sum(1 << g for g in keep)
+        cross = []
+        for g in keep:
+            x = gen.cross[g] & mask
+            y = 0
+            while x:
+                low = x & -x
+                y |= 1 << pos[low.bit_length() - 1]
+                x ^= low
+            cross.append(y)
+        cands = tuple(gen.cands[g] for g in keep)
+        index = {e: i for i, e in enumerate(cands)}
+        words = tuple(gen.words[g] for g in keep)
+        ones, guard = gen.ones, gen.guard
     maps = set()
     for p in _dihedral(n):
         if coloring and len({coloring[v] ^ c for v, c in zip(p, coloring)}) > 1:
             continue
-        maps.add(tuple(pos[prob.index[_normalize_edge(n, (p[a], p[b]))]] for a, b in cands))
+        maps.add(tuple(index[_normalize_edge(n, (p[a], p[b]))] for a, b in cands))
     maps.discard(tuple(range(len(cands))))
     free = next((i for i, x in enumerate(cross) if x), len(cross))
-    return _View(cands, tuple(cross), tuple(prob.words[g] for g in keep), tuple(sorted(maps)),
-                 free)
+    return _View(cands, tuple(cross), words, ones, guard, tuple(sorted(maps)), free)
 
 
 def _node_bound(m_inc: int, n_feas: int, per_cost, cap: int) -> int:
@@ -288,10 +279,11 @@ def upper_prune(n: int, k: int, state, remaining, *, bipartite: bool = False) ->
     a bipartite search.  The bound never undercuts the best completion of
     ``state`` by edges of ``remaining``.  n and k are integers as for
     ``max_edges``, with 2 <= n <= ``MAX_SEARCH_N``: the first call at an n
-    builds its lasting ``_problem`` record, whose C(n, 4) crossing table
-    grows as n^4."""
+    builds its lasting general ``_view`` record, whose C(n, 4) crossing
+    table grows as n^4."""
     n, k = _checked(n, k, "upper_prune")
-    chords, index, cross, *_ = _problem(n)
+    chords, cross, *_ = _view(n, None)
+    index = {e: i for i, e in enumerate(chords)}
     included = sum(1 << index[e] for e in {_normalize_edge(n, e) for e in state})
     undecided = sum(1 << index[e] for e in {_normalize_edge(n, e) for e in remaining})
     feas, layers, cap, m_inc = _state(cross, k, included, undecided)
@@ -304,27 +296,26 @@ def upper_prune(n: int, k: int, state, remaining, *, bipartite: bool = False) ->
 
 
 class _Incumbent:
-    """Node count and the best graph so far, of ``best`` edges: the
-    ``best_bits`` bitset over the candidates of ``best_coloring``, or the
-    ``warm`` start (``best_bits`` None) until the search strictly beats it."""
+    """Node count and the best graph so far, of ``best`` edges: ``best_at``,
+    the pair (bitset over a coloring's candidates, that coloring), or the
+    ``warm`` start (``best_at`` None) until the search strictly beats it."""
 
-    __slots__ = ("nodes", "budget", "best", "best_bits", "best_coloring", "warm")
+    __slots__ = ("nodes", "budget", "best", "best_at", "warm")
 
     def __init__(self, budget, warm: ConvexGraph | None):
         self.nodes = 0
         self.budget = budget
         self.best = -1 if warm is None else warm.m
-        self.best_bits: int | None = None
-        self.best_coloring = None if warm is None else warm.coloring
+        self.best_at: tuple | None = None
         self.warm = warm
 
     def result(self, settings: dict, proven: bool) -> SearchResult:
         n = settings["n"]
         witness = self.warm
-        if self.best_bits is not None:
-            cands = _view(n, self.best_coloring).cands
-            witness = ConvexGraph(n, [e for i, e in enumerate(cands) if self.best_bits >> i & 1],
-                                  self.best_coloring)
+        if self.best_at is not None:
+            bits, coloring = self.best_at
+            cands = _view(n, coloring).cands
+            witness = ConvexGraph(n, [e for i, e in enumerate(cands) if bits >> i & 1], coloring)
         return SearchResult(self.best, witness, self.nodes, proven, settings)
 
 
@@ -332,8 +323,7 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
            opt1: int | None) -> None:
     """Branch and bound over one fixed coloring (None = unconstrained);
     ``opt1`` is opt(n - 1, k) for the vertex term, or None to leave it out."""
-    cands, cross, words, group, free = _view(n, coloring)
-    *_, ones, guard = _problem(n)
+    cands, cross, words, ones, guard, group, free = _view(n, coloring)
 
     def dfs(feas, layers, cap, m_inc, included, group, deg, lost):
         # feas is the bitset of addable candidates and layers[c] the
@@ -341,14 +331,13 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
         # owns the layers it is given: its caller never reads them again.
         # group holds the maps of the view's group that fix the node's
         # included and excluded sets (see the module docstring).  deg
-        # packs the live degrees (see _problem) as the parent had them,
+        # packs the live degrees (see _view) as the parent had them,
         # and lost is the bitset of candidates that died since; a node
         # brings deg up to date only once it passes _node_bound.
         inc.nodes += 1
         if m_inc > inc.best:
             inc.best = m_inc
-            inc.best_bits = included
-            inc.best_coloring = coloring
+            inc.best_at = included, coloring
         if inc.budget is not None and inc.nodes > inc.budget:
             raise BudgetExceededError("search node budget exceeded")
         if not feas or inc.best >= static_ub:  # the closed-form ceiling stops the search

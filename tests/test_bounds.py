@@ -58,6 +58,10 @@ def test_validity_windows():
         general_upper(1000, 2, "direct", k_min=0)
     with pytest.raises(ValueError):
         general_upper(10, 1, "newest")
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        bound_report(0, 1)
+    with pytest.raises(ValueError, match="^k must be non-negative$"):
+        general_upper(5, -1)
     # a negative k_min is refused, as the CLI refuses --k-threshold -1
     for call in (lambda: general_upper(1000, 200, "direct", k_min=-1),
                  lambda: bipartite_upper(10, 3, "local", k_min=-5),
@@ -276,6 +280,8 @@ def test_maxmindeg():
     b = maxmindeg_bound(11)
     assert b.bipartite == pytest.approx(7.656854249492381, rel=1e-12)
     assert b.bipartite == pytest.approx(2 * math.sqrt(8) + 2, rel=1e-12)
+    with pytest.raises(ValueError, match="^k must be non-negative$"):
+        maxmindeg_bound(-1)
 
 
 def test_report_structure():

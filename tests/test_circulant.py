@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,13 @@ def test_dirichlet_closed_singularities():
         dirichlet_kernel_closed(3, 2 * math.pi)
     with pytest.raises(ValueError):
         dirichlet_kernel_closed(3, np.array([0.5, 0.0]))
+    # non-finite angles are refused before sin sees them, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (math.inf, -math.inf, math.nan):
+            for theta in (bad, np.float64(bad), np.array([0.5, bad]), np.array([[bad]])):
+                with pytest.raises(ValueError, match="^closed form is undefined at non-finite"):
+                    dirichlet_kernel_closed(3, theta)
 
 
 def test_dirichlet_shapes():

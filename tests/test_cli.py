@@ -450,6 +450,10 @@ def test_search_budget_env(monkeypatch):
     monkeypatch.setenv(ENV_NODE_BUDGET, "soon")
     code, payload = invoke_json("search", "--n", "8", "--k", "2")
     assert code == 2 and "integer" in payload["error"]["message"]
+    monkeypatch.setenv(ENV_NODE_BUDGET, "-1")
+    code, payload = invoke_json("search", "--n", "8", "--k", "2")
+    assert code == 2 and payload["error"] == {
+        "code": "invalid-flags", "message": f"{ENV_NODE_BUDGET} must be non-negative"}
 
 
 def test_search_warm_start(tmp_path):

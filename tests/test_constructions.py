@@ -257,6 +257,10 @@ def test_kxx_chain_counts_and_coloring():
             assert g.coloring == tuple(i % 2 for i in range(g.n))
             assert all(g.coloring[a] != g.coloring[b] for a, b in g.edges)
             assert max_crossing(g) == max_crossing(kxx_alternating(x))
+    with pytest.raises(ValueError, match="^kxx_chain needs x >= 1$"):
+        kxx_chain(0, 1)
+    with pytest.raises(ValueError, match="^kxx_chain needs at least one block$"):
+        kxx_chain(2, 0)
 
 
 def _alternating_block(x):

@@ -144,6 +144,9 @@ def test_graph_immutable_and_hashable():
     h = ConvexGraph(4, [(1, 0)])
     assert g == h and hash(g) == hash(h)
     assert g != ConvexGraph(5, [(0, 1)])
+    # a graph is no other type's equal: __eq__ returns NotImplemented
+    assert g.__eq__(3) is NotImplemented
+    assert (ConvexGraph(3) == 3) is False and (3 == ConvexGraph(3)) is False
 
 
 def test_outer_k_planar_k5():

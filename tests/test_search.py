@@ -25,11 +25,10 @@ from outerkplanar import (
     upper_prune,
 )
 from outerkplanar import search
-from outerkplanar.geometry import chord_length, chords_cross
+from outerkplanar.geometry import _crossing_pairs, chord_length, chords_cross
 from outerkplanar.search import (
     _canonical_colorings,
     _MODE_COLORINGS,
-    _problem,
     _PROVEN_OPTIMA,
     _state,
     _view,
@@ -248,11 +247,11 @@ def test_upper_prune_examples():
         upper_prune(8.0, 2, [], [(0, 1)])
     with pytest.raises(ValueError, match="^k must be non-negative$"):
         upper_prune(8, -1, [], [(0, 1)])
-    cached = _problem.cache_info().currsize
+    cached = _view.cache_info().currsize
     for n in (1, 0, -1, 13, 40):
         with pytest.raises(ValueError, match=r"^upper_prune supports 2 <= n <= 12 \(got n="):
             upper_prune(n, 0, [], [])
-    assert _problem.cache_info().currsize == cached
+    assert _view.cache_info().currsize == cached
     assert upper_prune(np.int64(6), np.int64(0), [], hull6 + chords6) == 9
 
 
@@ -346,8 +345,8 @@ def test_canonical_colorings_match_tuple_oracle():
 
 
 def test_crossing_bitsets_match_pairwise_rule():
-    # each coloring's view, re-indexed from the one table per n, against
-    # the pairwise rule on its bichromatic chords in candidate order
+    # the general view's table, and each coloring's view re-indexed from
+    # it, against the pairwise rule on its chords in candidate order
     for _, n, coloring in every_search_coloring(range(2, 13)):
         chords = sorted(((a, b) for a in range(n) for b in range(a + 1, n)),
                         key=lambda e: (chord_length(n, e), e))
@@ -356,10 +355,6 @@ def test_crossing_bitsets_match_pairwise_rule():
                 for e in cands]
         view = _view(n, coloring)
         assert (view.cands, view.cross) == (tuple(cands), tuple(want)), (n, coloring)
-        if coloring is None:
-            problem = _problem(n)
-            assert (problem.chords, problem.cross) == (view.cands, view.cross), n
-            assert problem.index == {e: i for i, e in enumerate(chords)}, n
 
 
 def every_search_coloring(n_values):
@@ -373,7 +368,7 @@ def every_search_coloring(n_values):
 
 def test_symmetry_group_preserves_candidates_and_crossings():
     for mode, n, coloring in every_search_coloring(range(3, 13)):
-        cands, cross, _, maps, _ = _view(n, coloring)
+        cands, cross, *_, maps, _ = _view(n, coloring)
         m = len(cands)
         index = {e: i for i, e in enumerate(cands)}
         # every dihedral map that keeps the candidate set, as an index map
@@ -421,28 +416,31 @@ def test_memoized_records_survive_a_k_grid():
     shared = [max_edges(n, k, mode) for mode, n, k in grid]
     fresh = []
     for mode, n, k in grid:
-        _problem.cache_clear()
         _view.cache_clear()
         fresh.append(max_edges(n, k, mode))
     assert shared == fresh
-    problem = _problem(8)
-    assert type(problem.chords) is type(problem.cross) is type(problem.words) is tuple
     for coloring in (None, *_canonical_colorings(8)):
-        *tables, free = _view(8, coloring)
-        assert all(type(field) is tuple for field in tables) and type(free) is int
+        cands, cross, words, ones, guard, group, free = _view(8, coloring)
+        assert type(cands) is type(cross) is type(words) is type(group) is tuple
+        assert type(ones) is type(guard) is type(free) is int
 
 
-def test_one_crossing_table_per_n():
-    # a bipartite_free search builds the 4-subset table once, and each
-    # coloring's view from it; upper_prune reads that table and no view
-    _problem.cache_clear()
+def test_one_crossing_table_per_n(monkeypatch):
+    # a bipartite_free search builds the 4-subset table once, in the
+    # general view, and each coloring's view from it; upper_prune reads its
+    # n's general view and no other
+    tables = []
+    monkeypatch.setattr(search, "_crossing_pairs",
+                        lambda n: tables.append(n) or _crossing_pairs(n))
     _view.cache_clear()
     max_edges(10, 2, "bipartite_free")
-    assert _problem.cache_info().misses == 1
-    assert _view.cache_info().misses == len(_canonical_colorings(10))
+    assert tables == [10]
+    assert _view.cache_info().misses == 1 + len(_canonical_colorings(10))
     upper_prune(11, 3, [(0, 5), (1, 7)], [(2, 9), (3, 10)])
-    assert _problem.cache_info().misses == 2
-    assert _view.cache_info().misses == len(_canonical_colorings(10))
+    assert tables == [10, 11]
+    assert _view.cache_info().misses == 2 + len(_canonical_colorings(10))
+    _view(11, None)
+    assert _view.cache_info().misses == 2 + len(_canonical_colorings(10))
 
 
 def test_budget_exceeded_bipartite_witness():
@@ -564,8 +562,7 @@ def test_packed_live_degrees_match_popcounts(rng):
     # per-vertex popcounts, is at most the incumbent: with th1 = best -
     # opt(n - 1) + 1, some live degree is below th1
     for _, n, coloring in every_search_coloring(range(2, 13)):
-        cands, _, words, *_ = _view(n, coloring)
-        *_, ones, guard = _problem(n)
+        cands, _, words, ones, guard, *_ = _view(n, coloring)
         f = (n - 1).bit_length() + 1
         vmask = [sum(1 << i for i, e in enumerate(cands) if v in e) for v in range(n)]
         for trial in range(6):
