@@ -256,17 +256,20 @@ def exact_maxcut(spec: CirculantSpec) -> Cut:
     sides).  For each head, the sides of vertices 1..r-1 scanned in
     lexicographic order, a backward table V[t][window] (the best gain of
     vertices t..n-1 given the window before t) is filled from t = n down
-    to r, seeded with the wrap-around edges between the last window and
-    the head; the head is kept only on strict improvement.  The witness
-    is then rebuilt forward, taking side 0 unless side 1 is strictly
-    better, so it is the lexicographically smallest maximizing side
-    vector.
+    to r.  Its seed V[n] scores the wrap-around edges between the last
+    window and the head, and is built by doubling, one window bit p at a
+    time: the rows with bit p clear add the head vertices that vertex
+    n-1-p reaches on side 1, those with it set the ones on side 0.  The
+    head is kept only on strict improvement.  The witness is then rebuilt
+    forward, taking side 0 unless side 1 is strictly better, so it is the
+    lexicographically smallest maximizing side vector.
 
     Work and time are O(n*4^r), memory O(n*2^r).  Budget: n*4^r <= 2^22
-    (MAXCUT_WORK_BUDGET).  At the cap a call takes from 0.9 s (r = 8,
-    n = 64) to 2.6 s (r = 1, n = 2^20) on one core of a shared Linux
-    container with Python 3.11.  Past it, as at every r >= 11 (4^11 = 2^22
-    and n >= 3), BudgetExceededError is raised before any work.
+    (MAXCUT_WORK_BUDGET).  At the cap a call takes from 0.5 s (r = 8,
+    n = 64) to 1.6 s (r = 1, n = 2^20) on one core of a shared 2-core
+    Linux container with Python 3.11 (fastest of five fresh processes).
+    Past it, as at every r >= 11 (4^11 = 2^22 and n >= 3),
+    BudgetExceededError is raised before any work.
     """
     # imported here: loading the extension costs every import of the package 0.6 ms
     from array import array
@@ -287,10 +290,12 @@ def exact_maxcut(spec: CirculantSpec) -> Cut:
     for head in range(1 << (r - 1)):
         # vertices 0..r-1 are pairwise adjacent
         inner = head.bit_count() * (r - head.bit_count())
-        # vertex n-1-p and vertex q are adjacent across the wrap iff p + q < r
-        wrap = [((head >> p).bit_count(), r - p - (head >> p).bit_count())
-                for p in range(r)]
-        layer = [sum(wrap[p][(w >> p) & 1] for p in range(r)) for w in range(size)]
+        # vertex n-1-p and vertex q are adjacent across the wrap iff p + q < r;
+        # the seed V[n] gains window bit p as its top bit at step p
+        layer = [0]
+        for p in range(r):
+            near = (head >> p).bit_count()
+            layer = [g + near for g in layer] + [g + r - p - near for g in layer]
         table = array("q")  # V[n], V[n-1], ..., V[r+1], one window-indexed row each
         for _ in range(n - r):
             table.extend(layer)

@@ -235,6 +235,9 @@ def _cmd_verify(args) -> str:
     g = _load_graph(args.file)
     if args.k is not None:
         _at_least(args.k, 0, "--k")
+    if g.n > _VERIFY_MAX_N:  # the message names no n: it may be too long to print
+        raise CliError("budget-exceeded", "the graph has more vertices than the cap of "
+                                          f"{_VERIFY_MAX_N}")
     counts = crossing_counts(g)
     worst = max(counts.values(), default=0)
     order, degeneracy = degeneracy_order(g)
@@ -342,6 +345,9 @@ def _cmd_xorsum(args) -> str:
 # The most cells a sweep evaluates: it admits the full n 2..498 by k 0..200 grid
 # (99,897 cells) and bounds a JSON sweep, which holds every row before writing.
 _SWEEP_MAX_CELLS = 100_000
+# The most vertices verify reads: its neighbour lists, crossing arrays and
+# degeneracy heap grow with n, which a document of a few bytes can name.
+_VERIFY_MAX_N = 1 << 20
 
 
 def _cmd_sweep(args) -> str:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -231,6 +232,21 @@ def test_exact_maxcut_matches_enumeration():
         for n in range(2 * r + 1, 21):
             value, sides = maxcut_by_enumeration(n, r)
             assert exact_maxcut(CirculantSpec(n, r)) == Cut(sides=sides, value=value), (n, r)
+
+
+def test_exact_maxcut_witnesses_pinned():
+    # past the reach of enumeration: sha256 of every value and witness on 230
+    # cells (r <= 6 with 2r < n < 45, r = 7 at n 15..20, r = 8 at n 17..18),
+    # taken before the head's seed layer was built by doubling
+    cells = [(n, r) for r in range(1, 7) for n in range(2 * r + 1, 45)]
+    cells += [(n, 7) for n in range(15, 21)] + [(17, 8), (18, 8)]
+    digest = hashlib.sha256()
+    for n, r in cells:
+        cut = exact_maxcut(CirculantSpec(n, r))
+        digest.update(f"{n} {r} {cut.value} {''.join(map(str, cut.sides))}\n".encode())
+    assert len(cells) == 230
+    assert digest.hexdigest() == (
+        "2d97035edc24949fad1edabf8679b5e277682589322c7400912d621c64f2aa54")
 
 
 def test_exact_maxcut_against_itertools():

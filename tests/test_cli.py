@@ -6,6 +6,7 @@ import random
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
@@ -311,6 +312,43 @@ def test_verify_checks_k_before_counting(tmp_path, monkeypatch):
     bad.write_text("{not json")
     code, payload = invoke_json("verify", str(bad), "--k", "-1")
     assert code == 3 and payload["error"]["code"] == "malformed-json"
+
+
+def test_verify_refuses_a_graph_above_its_cap(tmp_path, monkeypatch):
+    # a document of a few bytes can name any n, and verify's arrays grow with
+    # it, so the refusal comes before any of them is built
+    import outerkplanar.cli as cli
+
+    assert cli._VERIFY_MAX_N == 1 << 20
+    small = tmp_path / "small.json"
+    small.write_text('{"n": 5, "edges": [[0, 2], [1, 3]]}')
+    assert invoke("verify", str(small))[0] == 0  # loads the modules verify uses
+    refusal = (5, {"error": {"code": "budget-exceeded",
+                             "message": "the graph has more vertices than the cap of "
+                                        f"{cli._VERIFY_MAX_N}"}})
+    for n in (10**9, int("9" * 4300)):
+        big = tmp_path / "big.json"
+        big.write_text(f'{{"n": {n}, "edges": [[0, 1]]}}')
+        tracemalloc.start()
+        try:
+            answer = invoke_json("verify", str(big), "--k", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert answer == refusal
+        assert peak < 1 << 20, (len(str(n)), peak)
+
+    def refuse(g):
+        raise AssertionError("verify counted crossings above its cap")
+
+    monkeypatch.setattr(cli, "_VERIFY_MAX_N", 4)
+    at_cap = tmp_path / "at_cap.json"
+    at_cap.write_text('{"n": 4, "edges": [[0, 2], [1, 3]]}')
+    code, payload = invoke_json("verify", str(at_cap))
+    assert code == 0 and payload["max_crossing"] == 1
+    monkeypatch.setattr(cli, "crossing_counts", refuse)
+    assert invoke_json("verify", str(small))[1]["error"]["message"] == (
+        "the graph has more vertices than the cap of 4")
 
 
 def test_cached_parser_keeps_no_state(tmp_path, monkeypatch, capsys):
