@@ -256,7 +256,9 @@ def exact_maxcut(spec: CirculantSpec) -> Cut:
     sides).  For each head, the sides of vertices 1..r-1 scanned in
     lexicographic order, a backward table V[t][window] (the best gain of
     vertices t..n-1 given the window before t) is filled from t = n down
-    to r.  Its seed V[n] scores the wrap-around edges between the last
+    to r.  Window w steps to 2w or 2w + 1 (mod 2^r), so w and w + 2^(r-1)
+    read the same pair of V[t+1], entries 2j and 2j + 1 for j = w mod
+    2^(r-1).  Its seed V[n] scores the wrap-around edges between the last
     window and the head, and is built by doubling, one window bit p at a
     time: the rows with bit p clear add the head vertices that vertex
     n-1-p reaches on side 1, those with it set the ones on side 0.  The
@@ -283,8 +285,6 @@ def exact_maxcut(spec: CirculantSpec) -> Cut:
     # bit p of a window is the side of the vertex p steps back
     gain0 = [w.bit_count() for w in range(size)]
     gain1 = [r - g for g in gain0]
-    lo = [(w << 1) & (size - 1) for w in range(size)]
-    hi = [w | 1 for w in lo]
     best_val, best_head, best_table = -1, 0, None
     # the window of vertices 0..r-1 is the head itself, vertex 0 on top
     for head in range(1 << (r - 1)):
@@ -299,17 +299,17 @@ def exact_maxcut(spec: CirculantSpec) -> Cut:
         table = array("q")  # V[n], V[n-1], ..., V[r+1], one window-indexed row each
         for _ in range(n - r):
             table.extend(layer)
-            layer = [max(a + layer[l], b + layer[h])
-                     for a, b, l, h in zip(gain0, gain1, lo, hi)]
+            succ = iter(layer * 2)  # window w's successors 2w, 2w + 1 (mod 2^r), paired
+            layer = [max(a + x, b + y) for a, b, x, y in zip(gain0, gain1, succ, succ)]
         if inner + layer[head] > best_val:
             best_val, best_head, best_table = inner + layer[head], head, table
     window = best_head
     sides = [(window >> (r - 1 - q)) & 1 for q in range(r)]
     for row in range(len(best_table) - size, -1, -size):
-        side = int(gain1[window] + best_table[row + hi[window]]
-                   > gain0[window] + best_table[row + lo[window]])
+        lo = row + ((window << 1) & (size - 1))
+        side = int(gain1[window] + best_table[lo + 1] > gain0[window] + best_table[lo])
         sides.append(side)
-        window = hi[window] if side else lo[window]
+        window = (window << 1 | side) & (size - 1)
     return Cut(sides=tuple(sides), value=best_val)
 
 

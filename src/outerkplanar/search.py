@@ -45,20 +45,20 @@ the vertices; a node takes its parent's packed degrees and subtracts
 the candidates it lost only once it passes ``_node_bound``.
 
 Symmetry is pruned by orbital branching (Ostrowski, Linderoth, Rossi and
-Smriglio, Math. Programming 2011).  ``_view`` lists the maps of
-``_dihedral(n)``, i -> +-i + t (mod n), that send a coloring's candidate
-set onto itself; they preserve crossing, so each sends solutions to
-solutions of the same size.  Each node carries a group H of maps that
-fix its included and its excluded set.  Branching on a candidate i0, the
-include child keeps the maps of H that fix i0, and the exclude child
-keeps H and excludes i0's whole orbit under H: a solution of the node that holds some image p(i0)
-but not i0 is sent by the inverse of p to one of the same size that
-holds i0, in the include child, which is searched first.  So every
-strict improvement is still first met at the same node, and the optimum,
-its proof and its witness are those of the search without symmetry; only
-node counts move.  The root's H is the whole group, which fixes its
-included set, the candidates that cross nothing (a map preserves
-crossing), and its empty excluded set.
+Smriglio, Math. Programming 2011).  The general ``_view`` lists the maps
+of ``_dihedral(n)``, i -> +-i + t (mod n), and a coloring's group is
+those that keep its candidates, re-indexed; they preserve crossing, so
+each sends solutions to solutions of the same size.  Each node carries a
+group H of maps that fix its included and its excluded set.  Branching
+on a candidate i0, the include child keeps the maps of H that fix i0,
+and the exclude child keeps H and excludes i0's whole orbit under H: a
+solution of the node that holds some image p(i0) but not i0 is sent by
+the inverse of p to one of the same size that holds i0, in the include
+child, which is searched first.  So every strict improvement is still
+first met at the same node, and the optimum, its proof and its witness
+are those of the search without symmetry; only node counts move.  The
+root's H is the whole group, which fixes its included set, the
+candidates that cross nothing, and its empty excluded set.
 
 Everything is deterministic: the incumbent only updates on strict
 improvement, so repeated runs return byte-identical results, including
@@ -157,10 +157,10 @@ def _view(n: int, coloring) -> _View:
     f = (n - 1).bit_length() + 1 bits at f*v, below its bit of ``guard``,
     and ``ones`` has a 1 in each field.  ``group`` holds the maps of
     ``_dihedral(n)`` that send the candidate set onto itself, as index maps
-    p (candidate j goes to p[j], and cross[j] to cross[p[j]]).  A map keeps
-    the bichromatic pairs exactly when it keeps the coloring or swaps its
-    colors, which is tested first.  Maps that move no candidate are left
-    out, so each entry is a distinct permutation of the candidates.
+    p (candidate j goes to p[j], and cross[j] to cross[p[j]]).  A coloring
+    cuts its maps from the general view's: those that send each of its
+    candidates to a candidate, re-indexed.  Maps that move no candidate are
+    left out, so each entry is a distinct permutation of the candidates.
     ``free`` counts the candidates before the first that crosses another.
     """
     if coloring is None:
@@ -177,6 +177,8 @@ def _view(n: int, coloring) -> _View:
         ones = sum(1 << f * v for v in range(n))
         words = tuple(1 << f * a | 1 << f * b for a, b in cands)
         guard = ones << f - 1
+        maps = {tuple(index[_normalize_edge(n, (p[a], p[b]))] for a, b in cands)
+                for p in _dihedral(n)}
     else:
         gen = _view(n, None)
         keep = [g for g, (a, b) in enumerate(gen.cands) if coloring[a] != coloring[b]]
@@ -192,14 +194,10 @@ def _view(n: int, coloring) -> _View:
                 x ^= low
             cross.append(y)
         cands = tuple(gen.cands[g] for g in keep)
-        index = {e: i for i, e in enumerate(cands)}
         words = tuple(gen.words[g] for g in keep)
         ones, guard = gen.ones, gen.guard
-    maps = set()
-    for p in _dihedral(n):
-        if coloring and len({coloring[v] ^ c for v, c in zip(p, coloring)}) > 1:
-            continue
-        maps.add(tuple(index[_normalize_edge(n, (p[a], p[b]))] for a, b in cands))
+        maps = {tuple(pos[q[g]] for g in keep) for q in gen.group
+                if all(q[g] in pos for g in keep)}
     maps.discard(tuple(range(len(cands))))
     free = next((i for i, x in enumerate(cross) if x), len(cross))
     return _View(cands, tuple(cross), words, ones, guard, tuple(sorted(maps)), free)
@@ -478,10 +476,12 @@ def max_edges(n: int, k: int, mode: str = "general", *,
     slowest being consecutive (12,5) at 735k nodes.  Raises
     BudgetExceededError (with the best incumbent attached as ``result``)
     if ``node_budget`` search nodes are exhausted first; otherwise the
-    result is proven optimal.  n and k must be integers: a float or a str
-    raises TypeError.
+    result is proven optimal.  n, k and ``node_budget`` must be integers (a
+    float or a str raises TypeError); a negative budget raises ValueError.
     """
     n, k = _checked(n, k, "search")
+    if node_budget is not None and (node_budget := operator.index(node_budget)) < 0:
+        raise ValueError("node_budget must be non-negative")
     if mode not in _MODE_COLORINGS:
         raise ValueError(f"unknown mode {mode!r}; choose one of {SEARCH_MODES}")
     colorings = _MODE_COLORINGS[mode](n)

@@ -28,6 +28,7 @@ from outerkplanar import search
 from outerkplanar.geometry import _crossing_pairs, chord_length, chords_cross
 from outerkplanar.search import (
     _canonical_colorings,
+    _dihedral,
     _MODE_COLORINGS,
     _PROVEN_OPTIMA,
     _state,
@@ -133,6 +134,17 @@ def test_input_validation():
             max_edges(n, k)
     res = max_edges(np.int64(8), np.uint8(2))
     assert res == max_edges(8, 2) and type(res.settings["n"]) is type(res.settings["k"]) is int
+    # the node budget is checked as n and k are, before any view is built
+    views = _view.cache_info().currsize
+    with pytest.raises(ValueError, match=r"^node_budget must be non-negative$"):
+        max_edges(9, 2, "bipartite_free", node_budget=-1)
+    for budget in (2.5, "3", 3.0):
+        with pytest.raises(TypeError):
+            max_edges(9, 2, "bipartite_free", node_budget=budget)
+    assert _view.cache_info().currsize == views
+    with pytest.raises(BudgetExceededError, match=r"^node budget 0 exceeded "):
+        max_edges(8, 2, node_budget=np.int64(0))
+    assert max_edges(8, 2, node_budget=np.uint16(1000)) == max_edges(8, 2)
     assert set(SEARCH_MODES) == {
         "general", "bipartite_free", "bipartite_alternating",
         "bipartite_consecutive"}
@@ -426,15 +438,19 @@ def test_memoized_records_survive_a_k_grid():
 
 
 def test_one_crossing_table_per_n(monkeypatch):
-    # a bipartite_free search builds the 4-subset table once, in the
-    # general view, and each coloring's view from it; upper_prune reads its
-    # n's general view and no other
-    tables = []
+    # a bipartite_free search builds the 4-subset table and the dihedral
+    # maps once, in the general view, and each coloring's view from it;
+    # upper_prune reads its n's general view and no other
+    tables, dihedral = [], []
     monkeypatch.setattr(search, "_crossing_pairs",
                         lambda n: tables.append(n) or _crossing_pairs(n))
+    _canonical_colorings(10)  # reads _dihedral(10) itself, once per process
+    monkeypatch.setattr(search, "_dihedral",
+                        lambda n: dihedral.append(n) or _dihedral(n))
     _view.cache_clear()
     max_edges(10, 2, "bipartite_free")
     assert tables == [10]
+    assert dihedral == [10]
     assert _view.cache_info().misses == 1 + len(_canonical_colorings(10))
     upper_prune(11, 3, [(0, 5), (1, 7)], [(2, 9), (3, 10)])
     assert tables == [10, 11]
