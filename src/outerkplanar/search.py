@@ -13,12 +13,16 @@ The solver enumerates candidate chords in a fixed order (increasing
 chord length, then lexicographic) and branches include/exclude on the
 first still-addable candidate.  Feasibility is monotone (an edge that
 cannot be added now can never be added later), so each node derives its
-addable set from its parent's with a few bitset operations.  Each node
-gets its state as arguments: the bitset of addable candidates and, per
-cost c, the bitset of those that cross exactly c included edges, the
-bitset of included edges, the crossing headroom left on them, and their
-number (an edge crossed k times needs no state: the branch that
-saturates it drops its crossers); ``_state`` builds it at the root.
+addable set from its parent's with a few bitset operations.  A node's
+state is the bitset of addable candidates and, per cost c, the bitset of
+those that cross exactly c included edges, the bitset of included edges,
+the crossing headroom left on them, and their number (an edge crossed k
+times needs no state: the branch that saturates it drops its crossers);
+``_state`` builds it at the root.  An include child gets it as the
+arguments of a call (without the layers when the count term of
+``_node_bound`` cuts it before it reads them); an exclude child differs
+from its parent only in the addable set and one layer, so it is the next
+pass of the parent's loop, which edits both in place.
 Pruning uses ``_node_bound``, an admissible optimistic bound over that
 state, and the vertex term below; the closed-form ceiling
 ``bounds._least_upper`` only stops the search, once the incumbent
@@ -322,82 +326,95 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
     """Branch and bound over one fixed coloring (None = unconstrained);
     ``opt1`` is opt(n - 1, k) for the vertex term, or None to leave it out."""
     cands, cross, words, ones, guard, group, free = _view(n, coloring)
+    budget = inc.budget
 
     def dfs(feas, layers, cap, m_inc, included, group, deg, lost):
         # feas is the bitset of addable candidates and layers[c] the
-        # bitset of those that cross exactly c included edges.  A call
-        # owns the layers it is given: its caller never reads them again.
-        # group holds the maps of the view's group that fix the node's
-        # included and excluded sets (see the module docstring).  deg
-        # packs the live degrees (see _view) as the parent had them,
+        # bitset of those that cross exactly c included edges, or None
+        # for a node that _node_bound's count term cuts, which never
+        # reads them.  A call owns the layers it is given, and its
+        # exclude passes edit them in place: its caller never reads them
+        # again.  group holds the maps of the view's group that fix the
+        # node's included and excluded sets (see the module docstring).
+        # deg packs the live degrees (see _view) as the parent had them,
         # and lost is the bitset of candidates that died since; a node
-        # brings deg up to date only once it passes _node_bound.
-        inc.nodes += 1
+        # brings deg up to date only once it passes _node_bound.  An
+        # exclude child keeps its parent's m_inc, so only a call can
+        # improve the incumbent.
         if m_inc > inc.best:
             inc.best = m_inc
             inc.best_at = included, coloring
-        if inc.budget is not None and inc.nodes > inc.budget:
-            raise BudgetExceededError("search node budget exceeded")
-        if not feas or inc.best >= static_ub:  # the closed-form ceiling stops the search
-            return
-        if _node_bound(m_inc, feas.bit_count(), layers, cap) <= inc.best:
-            return
-        if opt1 is not None:
-            while lost:
-                low = lost & -lost
-                deg -= words[low.bit_length() - 1]
-                lost ^= low
-            # opt1 + min live(v) <= best iff a field of deg is below th1, whose
-            # guard bit the subtraction then clears; no field borrows, as
-            # th1 <= n <= 2^(f-1) (best <= opt(n, k) <= opt1 + n - 1)
-            th1 = inc.best - opt1 + 1
-            if th1 > 0 and ((deg | guard) - th1 * ones) & guard != guard:
+        while True:  # one pass per node: the call's node, then its exclude children
+            inc.nodes += 1
+            if budget is not None and inc.nodes > budget:
+                raise BudgetExceededError("search node budget exceeded")
+            best = inc.best
+            if not feas or best >= static_ub:  # the closed-form ceiling stops the search
                 return
-        # branch on the first addable candidate in candidate order
-        bit0 = feas & -feas
-        i0 = bit0.bit_length() - 1
-        x0 = cross[i0]
-        t = x0 & included
-        c0 = t.bit_count()
-        # include branch: drop i0, the candidates it would push past k
-        # crossings (the top layer's that cross it: layers[-1] is
-        # layers[k], or empty when k >= len(cands)) and those that cross a
-        # newly saturated edge, i0 or an included edge it crosses
-        new_included = included | bit0
-        drop = bit0 | (x0 if c0 == k else layers[-1] & x0)
-        while t:
-            low = t & -t
-            x = cross[low.bit_length() - 1]
-            if (x & new_included).bit_count() == k:
-                drop |= x
-            t ^= low
-        new_feas = feas & ~drop
-        # the others that cross i0 move up one layer
-        stay = new_feas & ~x0
-        move = new_feas & x0
-        new_layers = []
-        below = 0
-        for layer in layers:
-            new_layers.append(layer & stay | below & move)
-            below = layer
-        # Orbital branching (see the module docstring): the include
-        # branch keeps the maps that fix i0, and the exclude branch drops
-        # i0's whole orbit.
-        orbit = bit0
-        fixing = group
-        if group:
-            fixing = []
-            for p in group:
-                if p[i0] == i0:
-                    fixing.append(p)
-                else:
-                    orbit |= 1 << p[i0]
-        dfs(new_feas, new_layers, cap + k - 2 * c0, m_inc + 1, new_included,
-            fixing, deg, feas & drop ^ bit0)
-        # exclude branch: i0's whole orbit, which shares i0's cost and so
-        # lies in layers[c0]
-        layers[c0] ^= orbit
-        dfs(feas ^ orbit, layers, cap, m_inc, included, group, deg, orbit)
+            # _node_bound's count term, m_inc + n_feas, makes most of its
+            # cuts; tested first, it spares them the call
+            n_feas = feas.bit_count()
+            if m_inc + n_feas <= best or _node_bound(m_inc, n_feas, layers, cap) <= best:
+                return
+            if opt1 is not None:
+                while lost:
+                    low = lost & -lost
+                    deg -= words[low.bit_length() - 1]
+                    lost ^= low
+                # opt1 + min live(v) <= best iff a field of deg is below th1, whose
+                # guard bit the subtraction then clears; no field borrows, as
+                # th1 <= n <= 2^(f-1) (best <= opt(n, k) <= opt1 + n - 1)
+                th1 = best - opt1 + 1
+                if th1 > 0 and ((deg | guard) - th1 * ones) & guard != guard:
+                    return
+            # branch on the first addable candidate in candidate order
+            bit0 = feas & -feas
+            i0 = bit0.bit_length() - 1
+            x0 = cross[i0]
+            t = x0 & included
+            c0 = t.bit_count()
+            # include branch: drop i0, the candidates it would push past k
+            # crossings (the top layer's that cross it: layers[-1] is
+            # layers[k], or empty when k >= len(cands)) and those that cross a
+            # newly saturated edge, i0 or an included edge it crosses
+            new_included = included | bit0
+            drop = bit0 | (x0 if c0 == k else layers[-1] & x0)
+            while t:
+                low = t & -t
+                x = cross[low.bit_length() - 1]
+                if (x & new_included).bit_count() == k:
+                    drop |= x
+                t ^= low
+            new_feas = feas & ~drop
+            new_layers = None  # unless the include child passes its count term
+            if m_inc + new_feas.bit_count() >= best:
+                # the others that cross i0 move up one layer
+                stay = new_feas & ~x0
+                move = new_feas & x0
+                new_layers = []
+                below = 0
+                for layer in layers:
+                    new_layers.append(layer & stay | below & move)
+                    below = layer
+            # Orbital branching (see the module docstring): the include
+            # branch keeps the maps that fix i0, and the exclude branch drops
+            # i0's whole orbit.
+            orbit = bit0
+            fixing = group
+            if group:
+                fixing = []
+                for p in group:
+                    if p[i0] == i0:
+                        fixing.append(p)
+                    else:
+                        orbit |= 1 << p[i0]
+            dfs(new_feas, new_layers, cap + k - 2 * c0, m_inc + 1, new_included,
+                fixing, deg, feas & drop ^ bit0)
+            # exclude branch, the next pass: i0's whole orbit, which shares
+            # i0's cost and so lies in layers[c0]
+            layers[c0] ^= orbit
+            feas ^= orbit
+            lost = orbit
 
     # the root includes the free candidates (module docstring); they stay
     # live, so deg is current

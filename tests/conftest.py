@@ -70,6 +70,17 @@ def degeneracy_order_by_rescan(n, edges):
     return order, degeneracy
 
 
+def greedy_color_by_sets(edges, order):
+    """The plain rule: each vertex along reversed `order` takes the least
+    color not in the set of its colored neighbours' colors."""
+    colors = {}
+    for v in reversed(order):
+        taken = {colors[u] for a, b in edges for u in (a, b)
+                 if v in (a, b) and u != v and u in colors}
+        colors[v] = min(set(range(len(taken) + 1)) - taken)
+    return colors, 1 + max(colors.values()) if colors else 0
+
+
 def canonical_colorings_by_tuples(n):
     """Orbit representatives of the 2-colorings by the definition: vertex i > 0
     takes bit i - 1 of the counter, and a coloring is kept when no rotation,

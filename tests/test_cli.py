@@ -315,8 +315,8 @@ def test_verify_checks_k_before_counting(tmp_path, monkeypatch):
 
 
 def test_verify_refuses_a_graph_above_its_cap(tmp_path, monkeypatch):
-    # a document of a few bytes can name any n, and verify's arrays grow with
-    # it, so the refusal comes before any of them is built
+    # a document of a few bytes can name any n; the refusal comes before any
+    # work, and prints no n
     import outerkplanar.cli as cli
 
     assert cli._VERIFY_MAX_N == 1 << 20
@@ -349,6 +349,55 @@ def test_verify_refuses_a_graph_above_its_cap(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "crossing_counts", refuse)
     assert invoke_json("verify", str(small))[1]["error"]["message"] == (
         "the graph has more vertices than the cap of 4")
+
+
+def test_verify_cost_follows_the_edges(tmp_path):
+    # one edge at the cap: the statistics walk the two vertices that carry it
+    small = tmp_path / "small.json"
+    small.write_text('{"n": 5, "edges": [[0, 2], [1, 3]]}')
+    assert invoke("verify", str(small))[0] == 0  # loads the modules verify uses
+    big = tmp_path / "big.json"
+    big.write_text(f'{{"n": {1 << 20}, "edges": [[0, 1]]}}')
+    tracemalloc.start()
+    try:
+        code, payload = invoke_json("verify", str(big), "--k", "0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert (code, payload) == (0, {
+        "n": 1 << 20, "m": 1, "k": 0, "outer_k_planar": True, "max_crossing": 0,
+        "bipartite": True, "degeneracy": 1, "greedy_colors": 2,
+        "per_edge_crossings": [{"edge": [0, 1], "crossings": 0}]})
+
+
+def test_verify_with_isolated_vertices_matches_the_oracles(tmp_path, rng):
+    from conftest import (crossing_counts_by_subsets, degeneracy_order_by_rescan,
+                          greedy_color_by_sets)
+
+    # sparse graphs take the relabelled path (n > 2m) and denser ones the
+    # direct path; both keep isolated vertices, often at 0 and n - 1
+    cases = [(2, []), (9, []), (9, [(0, 8)]), (12, [(3, 7)]), (10, [(0, 5), (2, 9)])]
+    for _ in range(40):
+        n = rng.randint(4, 13)
+        live = rng.sample(range(n), rng.randint(2, n - 1))
+        edges = sorted({tuple(sorted(rng.sample(live, 2)))
+                        for _ in range(rng.randint(1, len(live) + 2))})
+        cases.append((n, edges))
+    path = tmp_path / "g.json"
+    for n, edges in cases:
+        path.write_text(json.dumps({"n": n, "edges": edges}))
+        code, payload = invoke_json("verify", str(path))
+        counts = crossing_counts_by_subsets(n, edges)
+        order, degeneracy = degeneracy_order_by_rescan(n, edges)
+        bipartite = any(all((side >> a & 1) != (side >> b & 1) for a, b in edges)
+                        for side in range(1 << (n - 1)))
+        assert code == 0 and payload == {
+            "n": n, "m": len(edges), "max_crossing": max(counts.values(), default=0),
+            "bipartite": bipartite, "degeneracy": degeneracy,
+            "greedy_colors": greedy_color_by_sets(edges, order)[1],
+            "per_edge_crossings": [{"edge": list(e), "crossings": c}
+                                   for e, c in counts.items()]}, (n, edges)
 
 
 def test_cached_parser_keeps_no_state(tmp_path, monkeypatch, capsys):

@@ -27,6 +27,7 @@ from conftest import (
     crossing_counts_np,
     crossing_pairs_by_subsets,
     degeneracy_order_by_rescan,
+    greedy_color_by_sets,
     random_graph,
 )
 
@@ -215,17 +216,6 @@ def test_greedy_color_random(rng):
         assert greedy_color(g, order) == (colors, ncolors)
 
 
-def _greedy_color_by_sets(g, order):
-    """The plain rule: each vertex along reversed `order` takes the least
-    color not in the set of its colored neighbours' colors."""
-    colors = {}
-    for v in reversed(order):
-        taken = {colors[u] for a, b in g.edges for u in (a, b)
-                 if v in (a, b) and u != v and u in colors}
-        colors[v] = min(set(range(len(taken) + 1)) - taken)
-    return colors, 1 + max(colors.values()) if colors else 0
-
-
 def test_greedy_color_matches_the_set_rule(rng):
     """Same colors, in the same dict order, and the same count, under the
     degeneracy order and under a shuffled order of the vertices.  An order
@@ -241,7 +231,7 @@ def test_greedy_color_matches_the_set_rule(rng):
         shuffled = rng.sample(range(g.n), g.n)
         for o in (order, shuffled):
             got = greedy_color(g, o)
-            want = _greedy_color_by_sets(g, o)
+            want = greedy_color_by_sets(g.edges, o)
             assert got == want and list(got[0].items()) == list(want[0].items()), (g, o)
         for o in (shuffled[: g.n // 2], [*shuffled, shuffled[0]], [*shuffled[1:], shuffled[1]],
                   [*shuffled[1:], g.n], [*shuffled[1:], -1]):

@@ -418,6 +418,7 @@ def test_general_10_4_proves_29():
     # left unproven at 3M nodes before orbital branching; the MILP agrees
     res = max_edges(10, 4, node_budget=3_000_000)
     assert res.proven_optimal and res.max_edges == 29
+    assert res.nodes_explored == 501_329  # pins the traversal deep in a proof
     check_witness(res, 10, 4, "general")
 
 
@@ -634,6 +635,7 @@ def test_bipartite_free_12_3_proves_24():
     # left unproven at 3M nodes before the vertex term; the MILP agrees
     res = max_edges(12, 3, "bipartite_free", node_budget=3_000_000)
     assert res.proven_optimal and res.max_edges == 24
+    assert res.nodes_explored == 622_732  # pins the traversal deep in a proof
     check_witness(res, 12, 3, "bipartite_free")
 
 
