@@ -219,15 +219,23 @@ def _node_bound(m_inc: int, n_feas: int, per_cost, cap: int) -> int:
     c_min > 0 included edges, ``m_inc + cap // c_min``: every edge a
     completion adds takes at least c_min of the ``cap`` crossings the
     included edges have left.  The closed-form ceiling is no part of it.
+    ``dfs`` tests the two terms apart, the count term first, and hands an
+    include child no layers when that term cuts it (see ``_solve``).
     """
     ub = m_inc + n_feas
     if n_feas and not per_cost[0]:
-        c_min = 1
-        while not per_cost[c_min]:
-            c_min += 1
-        if m_inc + cap // c_min < ub:
-            ub = m_inc + cap // c_min
+        ub = min(ub, _cap_bound(m_inc, per_cost, cap))
     return ub
+
+
+def _cap_bound(m_inc: int, per_cost, cap: int) -> int:
+    """The cap term of ``_node_bound``, m_inc + cap // c_min, at a node
+    whose cheapest addable candidate crosses c_min > 0 included edges
+    (``per_cost[0]`` empty and some ``per_cost[c]`` not)."""
+    c_min = 1
+    while not per_cost[c_min]:
+        c_min += 1
+    return m_inc + cap // c_min
 
 
 def _state(cross, k: int, included: int, undecided: int) -> tuple[int, list[int], int, int]:
@@ -351,10 +359,10 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
             best = inc.best
             if not feas or best >= static_ub:  # the closed-form ceiling stops the search
                 return
-            # _node_bound's count term, m_inc + n_feas, makes most of its
-            # cuts; tested first, it spares them the call
+            # _node_bound's count term makes most of its cuts, and its cap
+            # term cuts nothing while an addable candidate crosses no included edge
             n_feas = feas.bit_count()
-            if m_inc + n_feas <= best or _node_bound(m_inc, n_feas, layers, cap) <= best:
+            if m_inc + n_feas <= best or not layers[0] and _cap_bound(m_inc, layers, cap) <= best:
                 return
             if opt1 is not None:
                 while lost:
@@ -386,8 +394,11 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
                     drop |= x
                 t ^= low
             new_feas = feas & ~drop
-            new_layers = None  # unless the include child passes its count term
-            if m_inc + new_feas.bit_count() >= best:
+            # the include child's count test (its best is at least this
+            # pass's) cuts it before it reads layers, so it gets them only
+            # if it can pass that test
+            new_layers = None
+            if m_inc + 1 + new_feas.bit_count() > best:
                 # the others that cross i0 move up one layer
                 stay = new_feas & ~x0
                 move = new_feas & x0

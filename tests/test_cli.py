@@ -375,7 +375,7 @@ def test_verify_with_isolated_vertices_matches_the_oracles(tmp_path, rng):
     from conftest import (crossing_counts_by_subsets, degeneracy_order_by_rescan,
                           greedy_color_by_sets)
 
-    # sparse graphs take the relabelled path (n > 2m) and denser ones the
+    # sparse graphs take the relabelled path (n > 5m/2) and denser ones the
     # direct path; both keep isolated vertices, often at 0 and n - 1
     cases = [(2, []), (9, []), (9, [(0, 8)]), (12, [(3, 7)]), (10, [(0, 5), (2, 9)])]
     for _ in range(40):
@@ -384,6 +384,7 @@ def test_verify_with_isolated_vertices_matches_the_oracles(tmp_path, rng):
         edges = sorted({tuple(sorted(rng.sample(live, 2)))
                         for _ in range(rng.randint(1, len(live) + 2))})
         cases.append((n, edges))
+    assert {2 * n > 5 * len(edges) for n, edges in cases} == {True, False}
     path = tmp_path / "g.json"
     for n, edges in cases:
         path.write_text(json.dumps({"n": n, "edges": edges}))
