@@ -27,6 +27,11 @@ families:
   (s = 2x - 2), colored by vertex parity; each shared hull edge is
   bichromatic, so the coloring is proper (and in fact alternating).
 
+Each builder refuses with BudgetExceededError, after its own argument
+checks and before it builds anything, when it would make more than
+``_MAX_EDGES`` = 2^20 edges; a chain counts every block's edges, the
+shared hull edges once per block.
+
 ``outercopy`` produces the two-page doubling used by the counting
 arguments: every edge stays inside the polygon and every diagonal gains a
 twin drawn outside the hull, giving 2m - h edges total where h is the
@@ -38,6 +43,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
+from .errors import BudgetExceededError
 from .geometry import (
     ConvexGraph,
     _normalize_edge,
@@ -57,11 +63,21 @@ __all__ = [
     "outercopy_crossing_counts",
 ]
 
+# The most edges a builder makes, as verify's cap on vertices is 2^20.
+_MAX_EDGES = 1 << 20
+
+
+def _capped(edges: int) -> None:
+    """Raise BudgetExceededError if a builder would make more than ``_MAX_EDGES`` edges."""
+    if edges > _MAX_EDGES:  # the message names no count: it may be too long to print
+        raise BudgetExceededError(f"the graph has more edges than the cap of {_MAX_EDGES}")
+
 
 def complete_graph(x: int) -> ConvexGraph:
     """K_x on x points in convex position."""
     if x < 2:
         raise ValueError("complete_graph needs x >= 2")
+    _capped(x * (x - 1) // 2)
     return ConvexGraph(x, combinations(range(x), 2))
 
 
@@ -69,7 +85,8 @@ def cycle_graph(n: int) -> ConvexGraph:
     """The polygon itself: n hull edges, nothing else."""
     if n < 3:
         raise ValueError("cycle_graph needs n >= 3")
-    return ConvexGraph(n, [(i, (i + 1) % n) for i in range(n)])
+    _capped(n)
+    return ConvexGraph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def _check_hull_edge(g: ConvexGraph, edge, which: str) -> tuple[int, int]:
@@ -142,6 +159,7 @@ def kx_chain(x: int, blocks: int) -> ConvexGraph:
         raise ValueError("kx_chain needs x >= 3")
     if blocks < 1:
         raise ValueError("kx_chain needs at least one block")
+    _capped(blocks * (x * (x - 1) // 2))
     n, arcs = _chain_blocks(x - 2, blocks)
     return ConvexGraph(n, (e for arc in arcs for e in combinations(arc, 2)))
 
@@ -170,6 +188,7 @@ def kxx_chain(x: int, blocks: int) -> ConvexGraph:
         raise ValueError("kxx_chain needs x >= 1")
     if blocks < 1:
         raise ValueError("kxx_chain needs at least one block")
+    _capped(blocks * x * x)
     n, arcs = _chain_blocks(2 * x - 2, blocks)
     edges = ((u, v) for arc in arcs for u, v in combinations(arc, 2) if (u + v) % 2)
     return ConvexGraph(n, edges, coloring=[i % 2 for i in range(n)])

@@ -15,25 +15,26 @@ first still-addable candidate.  Feasibility is monotone (an edge that
 cannot be added now can never be added later), so each node derives its
 addable set from its parent's with a few bitset operations.  A node's
 state is the bitset of addable candidates and, per cost c, the bitset of
-those that cross exactly c included edges, the bitset of included edges,
-the crossing headroom left on them, and their number (an edge crossed k
-times needs no state: the branch that saturates it drops its crossers);
-``_state`` builds it at the root.  An include child gets it as the
-arguments of a call (without the layers when the count term of
-``_node_bound`` cuts it before it reads them); an exclude child differs
-from its parent only in the addable set and one layer, so it is the next
-pass of the parent's loop, which edits both in place.
-Pruning uses ``_node_bound``, an admissible optimistic bound over that
-state, and the vertex term below; the closed-form ceiling
-``bounds._least_upper`` only stops the search, once the incumbent
-reaches it.  ``upper_prune`` gives the least of the three for a given
-partial graph.  The candidates that cross no candidate (the bichromatic
-hull edges, or every candidate of a star coloring) come first in
-candidate order, and the search starts with all of them included.  That
-is the node a chain of include branches on them would reach, and each
-exclude branch on the way is dominated: adding the candidate to any of
-its graphs keeps it feasible and gains an edge.  So the search branches
-only on candidates that cross some candidate.
+those that cross exactly c included edges, the bitset of included edges
+and their number (an edge crossed k times needs no state: the branch
+that saturates it drops its crossers); ``_state`` builds it at the root.
+The include branch reads the top layer, cost k, for the candidates that
+the new edge would push past k crossings.  An include child gets the
+state as the arguments of a call (without the layers when the count term
+cuts it before it reads them); an exclude child differs from its parent
+only in the addable set and one layer, so it is the next pass of the
+parent's loop, which edits both in place.
+Pruning uses two admissible terms: the count term, the included edges
+plus the addable candidates, and the vertex term below.  The
+closed-form ceiling ``bounds._least_upper`` only stops the search, once
+the incumbent reaches it.  ``upper_prune`` gives the least of the three
+for a given partial graph.  The candidates that cross no candidate (the
+bichromatic hull edges, or every candidate of a star coloring) come
+first in candidate order, and the search starts with all of them
+included.  That is the node a chain of include branches on them would
+reach, and each exclude branch on the way is dominated: adding the
+candidate to any of its graphs keeps it feasible and gains an edge.  So
+the search branches only on candidates that cross some candidate.
 
 A vertex term prunes as Russian-doll search does (Verfaillie, Lemaitre
 and Schiex, AAAI 1996; Ostergard, Discrete Appl. Math. 2002): delete any
@@ -46,7 +47,7 @@ where it has no entry the term is left out.
 Each node packs every vertex's live degree in one int (``_view``),
 so the term costs a few big-int operations per node, not a loop over
 the vertices; a node takes its parent's packed degrees and subtracts
-the candidates it lost only once it passes ``_node_bound``.
+the candidates it lost only once it passes the count term.
 
 Symmetry is pruned by orbital branching (Ostrowski, Linderoth, Rossi and
 Smriglio, Math. Programming 2011).  The general ``_view`` lists the maps
@@ -207,56 +208,23 @@ def _view(n: int, coloring) -> _View:
     return _View(cands, tuple(cross), words, ones, guard, tuple(sorted(maps)), free)
 
 
-def _node_bound(m_inc: int, n_feas: int, per_cost, cap: int) -> int:
-    """The search's pruning bound at one node; no completion can beat it.
-
-    The node has ``m_inc`` edges included, ``n_feas`` candidates still
-    individually addable of which ``per_cost[c]`` cross exactly c included
-    edges (read only for emptiness, so a count or a bitset of those
-    candidates will do), and ``cap`` crossing headroom (the sum of k minus
-    the crossing count over the included edges).  The bound is the lesser
-    of ``m_inc + n_feas`` and, when the cheapest addable candidate crosses
-    c_min > 0 included edges, ``m_inc + cap // c_min``: every edge a
-    completion adds takes at least c_min of the ``cap`` crossings the
-    included edges have left.  The closed-form ceiling is no part of it.
-    ``dfs`` tests the two terms apart, the count term first, and hands an
-    include child no layers when that term cuts it (see ``_solve``).
-    """
-    ub = m_inc + n_feas
-    if n_feas and not per_cost[0]:
-        ub = min(ub, _cap_bound(m_inc, per_cost, cap))
-    return ub
-
-
-def _cap_bound(m_inc: int, per_cost, cap: int) -> int:
-    """The cap term of ``_node_bound``, m_inc + cap // c_min, at a node
-    whose cheapest addable candidate crosses c_min > 0 included edges
-    (``per_cost[0]`` empty and some ``per_cost[c]`` not)."""
-    c_min = 1
-    while not per_cost[c_min]:
-        c_min += 1
-    return m_inc + cap // c_min
-
-
-def _state(cross, k: int, included: int, undecided: int) -> tuple[int, list[int], int, int]:
+def _state(cross, k: int, included: int, undecided: int) -> tuple[int, list[int], int]:
     """What ``dfs`` takes at the node that includes the candidates of bitset
     ``included`` and may add those of ``undecided``, for crossing bitsets
     ``cross``: the addable candidates (undecided, not included, and leaving
     every edge crossed at most k times when added), their layers by cost
     (included edges crossed: at most k and len(cross), so the last layer is
-    layer k or empty), the crossing headroom and the edge count.  Raises
-    ValueError if an included edge is crossed more than k times."""
+    layer k or empty) and the edge count.  Raises ValueError if an
+    included edge is crossed more than k times."""
     crossed = blocked = 0  # candidates that cross an included edge, a saturated one
-    cap = k * included.bit_count()
     for i in range(included.bit_length()):
-        if cross[i] and included >> i & 1:  # an edge that crosses nothing keeps headroom k
+        if included >> i & 1:
             count = (cross[i] & included).bit_count()
             if count > k:
                 raise ValueError("state is not outer k-planar")
             if count == k:
                 blocked |= cross[i]
             crossed |= cross[i]
-            cap -= count
     feas = undecided & ~included & ~blocked
     layers = [feas & ~crossed] + [0] * min(k, len(cross))
     x = feas & crossed  # the addable candidates of cost 1 or more
@@ -264,7 +232,7 @@ def _state(cross, k: int, included: int, undecided: int) -> tuple[int, list[int]
         cost = (cross[i] & included).bit_count()
         if x >> i & 1 and cost <= k:
             layers[cost] |= 1 << i
-    return sum(layers), layers, cap, included.bit_count()  # the layers are disjoint
+    return sum(layers), layers, included.bit_count()  # the layers are disjoint
 
 
 def _smaller_optimum(n: int, k: int, mode: str) -> int | None:
@@ -281,8 +249,9 @@ def upper_prune(n: int, k: int, state, remaining, *, bipartite: bool = False) ->
 
     ``state`` holds the edges already chosen (must itself be outer
     k-planar, else ValueError) and ``remaining`` the undecided candidates.
-    The bound is the least of ``_node_bound`` on the node state that
-    ``_state`` builds over the general candidates, the closed-form ceiling
+    The bound is the least of the count term on the node state that
+    ``_state`` builds over the general candidates (the included edges plus
+    the addable candidates), the closed-form ceiling
     ``bounds._least_upper``, and, where the table holds opt(n - 1, k), the
     vertex term opt(n - 1, k) + min live(v) (module docstring).
     ``bipartite`` selects the closed-form bounds and the smaller optimum of
@@ -296,8 +265,8 @@ def upper_prune(n: int, k: int, state, remaining, *, bipartite: bool = False) ->
     index = {e: i for i, e in enumerate(chords)}
     included = sum(1 << index[e] for e in {_normalize_edge(n, e) for e in state})
     undecided = sum(1 << index[e] for e in {_normalize_edge(n, e) for e in remaining})
-    feas, layers, cap, m_inc = _state(cross, k, included, undecided)
-    ub = min(_node_bound(m_inc, feas.bit_count(), layers, cap), _least_upper(n, k, bipartite))
+    feas, _, m_inc = _state(cross, k, included, undecided)
+    ub = min(m_inc + feas.bit_count(), _least_upper(n, k, bipartite))
     opt1 = _smaller_optimum(n, k, "bipartite_free" if bipartite else "general")
     if opt1 is None:
         return ub
@@ -336,17 +305,17 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
     cands, cross, words, ones, guard, group, free = _view(n, coloring)
     budget = inc.budget
 
-    def dfs(feas, layers, cap, m_inc, included, group, deg, lost):
+    def dfs(feas, layers, m_inc, included, group, deg, lost):
         # feas is the bitset of addable candidates and layers[c] the
         # bitset of those that cross exactly c included edges, or None
-        # for a node that _node_bound's count term cuts, which never
-        # reads them.  A call owns the layers it is given, and its
-        # exclude passes edit them in place: its caller never reads them
-        # again.  group holds the maps of the view's group that fix the
-        # node's included and excluded sets (see the module docstring).
+        # for a node that the count term cuts, which never reads them.  A
+        # call owns the layers it is given, and its exclude passes edit
+        # them in place: its caller never reads them again.  group holds
+        # the maps of the view's group that fix the node's included and
+        # excluded sets (see the module docstring).
         # deg packs the live degrees (see _view) as the parent had them,
         # and lost is the bitset of candidates that died since; a node
-        # brings deg up to date only once it passes _node_bound.  An
+        # brings deg up to date only once it passes the count term.  An
         # exclude child keeps its parent's m_inc, so only a call can
         # improve the incumbent.
         if m_inc > inc.best:
@@ -359,10 +328,8 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
             best = inc.best
             if not feas or best >= static_ub:  # the closed-form ceiling stops the search
                 return
-            # _node_bound's count term makes most of its cuts, and its cap
-            # term cuts nothing while an addable candidate crosses no included edge
-            n_feas = feas.bit_count()
-            if m_inc + n_feas <= best or not layers[0] and _cap_bound(m_inc, layers, cap) <= best:
+            # the count term: a completion adds only addable candidates
+            if m_inc + feas.bit_count() <= best:
                 return
             if opt1 is not None:
                 while lost:
@@ -394,7 +361,7 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
                     drop |= x
                 t ^= low
             new_feas = feas & ~drop
-            # the include child's count test (its best is at least this
+            # the include child's count term (its best is at least this
             # pass's) cuts it before it reads layers, so it gets them only
             # if it can pass that test
             new_layers = None
@@ -419,8 +386,8 @@ def _solve(inc: _Incumbent, n: int, k: int, coloring, static_ub: int,
                         fixing.append(p)
                     else:
                         orbit |= 1 << p[i0]
-            dfs(new_feas, new_layers, cap + k - 2 * c0, m_inc + 1, new_included,
-                fixing, deg, feas & drop ^ bit0)
+            dfs(new_feas, new_layers, m_inc + 1, new_included, fixing, deg,
+                feas & drop ^ bit0)
             # exclude branch, the next pass: i0's whole orbit, which shares
             # i0's cost and so lies in layers[c0]
             layers[c0] ^= orbit
@@ -501,7 +468,7 @@ def max_edges(n: int, k: int, mode: str = "general", *,
     unproven within 3M nodes: general (10,5-6), (11,3-6) and (12,3-6), and
     bipartite_free (12,4-6); general (12,2) = 30 takes 2.3M nodes.  Every
     bipartite_alternating and bipartite_consecutive cell proves, the
-    slowest being consecutive (12,5) at 735k nodes.  Raises
+    slowest being consecutive (12,5) at 743k nodes.  Raises
     BudgetExceededError (with the best incumbent attached as ``result``)
     if ``node_budget`` search nodes are exhausted first; otherwise the
     result is proven optimal.  n, k and ``node_budget`` must be integers (a

@@ -186,11 +186,10 @@ def node_state_by_definition(n, k, included, undecided):
     """A search node's state from the definitions, for sets of edges.
 
     Returns None when an included edge is crossed more than k times, else
-    (addable, costs, headroom, edge count): an undecided edge that is not
-    included is addable when the included edges and it are each crossed
-    at most k times among themselves; costs maps each addable edge to the
-    number of included edges it crosses; the headroom sums k minus the
-    crossings of each included edge.
+    (addable, costs, edge count): an undecided edge that is not included
+    is addable when the included edges and it are each crossed at most k
+    times among themselves; costs maps each addable edge to the number of
+    included edges it crosses.
     """
     pairs = crossing_pairs_by_subsets(n, included | undecided)
     crossed = {e: set() for e in included | undecided}
@@ -203,7 +202,7 @@ def node_state_by_definition(n, k, included, undecided):
     costs = {e: len(crossed[e] & included) for e in undecided - included
              if len(crossed[e] & included) <= k
              and all(counts[f] < k for f in crossed[e] & included)}
-    return set(costs), costs, sum(k - c for c in counts.values()), len(included)
+    return set(costs), costs, len(included)
 
 
 def random_graph(rng, n, p=0.4):

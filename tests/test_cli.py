@@ -351,6 +351,51 @@ def test_verify_refuses_a_graph_above_its_cap(tmp_path, monkeypatch):
         "the graph has more vertices than the cap of 4")
 
 
+def test_construct_refuses_a_graph_above_its_cap(monkeypatch):
+    # refused after the flags are checked and before any graph is built,
+    # with no number from the input in the message
+    from outerkplanar import constructions
+
+    assert constructions._MAX_EDGES == 1 << 20
+    refusal = (5, {"error": {"code": "budget-exceeded",
+                             "message": "the graph has more edges than the cap of "
+                                        f"{constructions._MAX_EDGES}"}})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("construct builds a graph above its cap")
+
+    huge = str(10**400)
+    with monkeypatch.context() as m:
+        m.setattr(constructions, "ConvexGraph", refuse)
+        m.setattr(constructions, "_chain_blocks", refuse)
+        for argv in (["complete", "--x", huge], ["cycle", "--n", huge],
+                     ["kx-chain", "--x", huge, "--blocks", "1"],
+                     ["kx-chain", "--x", "3", "--blocks", huge],
+                     ["kxx-alternating", "--x", huge],
+                     ["kxx-chain", "--x", huge, "--blocks", "1"],
+                     # K_{1,1} blocks all share one edge, but each is still walked
+                     ["kxx-chain", "--x", "1", "--blocks", huge]):
+            assert invoke_json("construct", *argv) == refusal, argv
+        # invalid flags keep their code and message
+        assert invoke_json("construct", "kx-chain", "--x", "1", "--blocks", huge) == (
+            6, {"error": {"code": "invalid-input", "message": "kx_chain needs x >= 3"}})
+        assert invoke_json("construct", "kxx-chain", "--x", huge, "--blocks", "0") == (
+            6, {"error": {"code": "invalid-input",
+                          "message": "kxx_chain needs at least one block"}})
+    # at the cap the graph is built, one edge past it is refused
+    monkeypatch.setattr(constructions, "_MAX_EDGES", 12)
+    for at_cap, past in ((["complete", "--x", "5"], ["complete", "--x", "6"]),  # 10, 15
+                         (["cycle", "--n", "12"], ["cycle", "--n", "13"]),
+                         (["kx-chain", "--x", "4", "--blocks", "2"],  # 2 * 6, 3 * 6
+                          ["kx-chain", "--x", "4", "--blocks", "3"]),
+                         (["kxx-alternating", "--x", "3"], ["kxx-alternating", "--x", "4"]),
+                         (["kxx-chain", "--x", "2", "--blocks", "3"],  # 3 * 4, 4 * 4
+                          ["kxx-chain", "--x", "2", "--blocks", "4"])):
+        assert invoke("construct", *at_cap)[0] == 0, at_cap
+        assert invoke_json("construct", *past)[1]["error"]["message"] == (
+            "the graph has more edges than the cap of 12"), past
+
+
 def test_verify_cost_follows_the_edges(tmp_path):
     # one edge at the cap: the statistics walk the two vertices that carry it
     small = tmp_path / "small.json"
@@ -797,9 +842,10 @@ def test_failure_records_frozen(tmp_path, monkeypatch):
 
 
 def test_hostile_numbers_give_records():
-    # Only calls whose work does not grow with the value: construct, or
-    # sweep over a wide grid, allocates in proportion to the sizes asked
-    # for.  circulant --method mohar refuses n/2 evaluations past its cap.
+    # Calls whose work does not grow with the value, or that a cap refuses
+    # before any work, as circulant --method mohar refuses n/2 evaluations.
+    # construct and a wide sweep grid are refused past their caps in tests
+    # of their own, which trip on any work done above the cap.
     huge = str(10**400)  # an integer too large for a float
     for argv in (
         ["bounds", "--n", "10", "--k", huge],

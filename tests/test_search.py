@@ -25,6 +25,7 @@ from outerkplanar import (
     upper_prune,
 )
 from outerkplanar import search
+from outerkplanar.bounds import _least_upper
 from outerkplanar.geometry import _crossing_pairs, chord_length, chords_cross
 from outerkplanar.search import (
     _canonical_colorings,
@@ -237,8 +238,10 @@ def test_upper_prune_examples():
     assert upper_prune(6, 0, [], hull6 + chords6) == 9
     k5 = complete_graph(5)
     assert upper_prune(5, 2, list(k5.edges), []) == 10
-    # every candidate crosses one state edge; the state has 2 crossings left
-    assert upper_prune(6, 2, [(0, 3), (1, 4)], [(1, 5), (2, 4), (0, 2), (3, 5)]) == 4
+    # every candidate crosses one state edge, and each state edge has room
+    # for one more crossing, so the best completion adds 2 of the 4; the
+    # bound counts all 4
+    assert upper_prune(6, 2, [(0, 3), (1, 4)], [(1, 5), (2, 4), (0, 2), (3, 5)]) == 6
     # (2, 4) would cross (0, 3), which is already crossed k = 1 times
     assert upper_prune(6, 1, [(0, 3), (1, 4), (4, 5)], [(2, 4)]) == 3
     with pytest.raises(ValueError, match="not outer"):
@@ -271,10 +274,21 @@ def test_upper_prune_is_admissible(rng, monkeypatch):
     # Groups of (cases, largest n, largest k, bipartite, largest min_cost,
     # isolate).  The first 200 cases leave every other edge undecided.  The
     # next ones leave only edges that cross at least min_cost state edges,
-    # as deep search nodes do, so that with k up to 4 the capacity bound is
-    # reached with c_min > 1.  Bipartite cases draw all edges from the
-    # bichromatic edges of the alternating coloring.  The isolate cases keep
-    # at most two edges at one vertex, where the vertex term binds.
+    # as deep search nodes do, so that with k up to 4 more of them cross a
+    # state edge crossed k times or would themselves cross more than k.
+    # Bipartite cases draw all edges from the bichromatic edges of the
+    # alternating coloring.  The isolate cases keep at most two edges at
+    # one vertex, where the vertex term binds.  Each bound is also pinned
+    # to its exact value, from conftest's node state.
+    def by_definition(n, k, state, remaining, bipartite, optima):
+        addable, _, m_inc = node_state_by_definition(n, k, set(state), set(remaining))
+        bound = min(m_inc + len(addable), _least_upper(n, k, bipartite))
+        row = optima.get(("bipartite_free" if bipartite else "general", n - 1), ())
+        if k < len(row):
+            live = set(state) | addable
+            bound = min(bound, row[k] + min(sum(v in e for e in live) for v in range(n)))
+        return bound
+
     binding = 0
     for cases, n_max, k_max, bipartite, max_min_cost, isolate in [
             (200, 7, 2, False, 0, False), (150, 8, 4, False, 2, False),
@@ -303,9 +317,12 @@ def test_upper_prune_is_admissible(rng, monkeypatch):
             bound = upper_prune(n, k, state, remaining, bipartite=bipartite)
             true_best = brute_best_completion(n, k, state, remaining)
             assert bound >= true_best, (n, k, bipartite, state, remaining)
+            assert bound == by_definition(n, k, state, remaining, bipartite, _PROVEN_OPTIMA)
             with monkeypatch.context() as m:
                 m.setattr(search, "_PROVEN_OPTIMA", {})
-                binding += bound < upper_prune(n, k, state, remaining, bipartite=bipartite)
+                without = upper_prune(n, k, state, remaining, bipartite=bipartite)
+            assert without == by_definition(n, k, state, remaining, bipartite, {})
+            binding += bound < without
     assert binding >= 50  # the vertex term was tested where it decides
 
 
@@ -513,11 +530,12 @@ DIGEST_CELLS = [
 # small-k row already conditional).
 SEARCH_DIGEST = "472df695ed2e555956851c6032b962c8ce7e3a53861f03de5131733d2e086924"
 # sha256 over the same cells of (mode, n, k, nodes_explored), frozen when
-# the search's root came to hold the candidates that cross nothing
-# (117,772 nodes over the cells before orbital branching, 55,024 after
-# it, 39,508 with the vertex term, 37,818 with that root): a change that
-# keeps the traversal node for node keeps this digest.
-SEARCH_NODES_DIGEST = "4d5d08efe94e2a686c8ea835cbd82324491b4722c9fe16ec34a04512a512177b"
+# the capacity term left the pruning bound (117,772 nodes over the cells
+# before orbital branching, 55,024 after it, 39,508 with the vertex term,
+# 37,818 once the root held the candidates that cross nothing, 37,822
+# without the capacity term): a change that keeps the traversal node for
+# node keeps this digest.
+SEARCH_NODES_DIGEST = "311ad922064c3daff1882807cb85e912d623ee8f4ab3e5d6d296590b7be2bf35"
 
 
 def test_search_results_frozen():
@@ -535,19 +553,19 @@ def test_search_results_frozen():
 
 def test_nodes_explored_frozen():
     # nodes_explored is printed output too: a pruning change that moves
-    # these counts updates them and lists the change in CHANGES.md.
-    # (bipartite_consecutive, 10, 4) is one of the few cells where the
-    # exclude branch's cost layers decide a capacity prune.  Each count is
-    # the one from before the root held the candidates that cross nothing,
-    # less their number for each coloring whose root is not cut.
+    # these counts updates them and lists the change in CHANGES.md.  Each
+    # count is the one from before the root held the candidates that cross
+    # nothing, less their number for each coloring whose root is not cut,
+    # except consecutive (10,4) and (11,2), two of the cells that moved
+    # when the capacity term left the pruning bound.
     want = {("general", 8, 3): 4841 - 8, ("bipartite_free", 8, 3): 547 - 67,
             ("bipartite_alternating", 10, 2): 161 - 10,
-            ("bipartite_consecutive", 10, 4): 3260 - 17,
+            ("bipartite_consecutive", 10, 4): 3249,
             # cells at n >= 10, where the candidate sets are widest
             ("general", 11, 2): 6658 - 11, ("general", 12, 1): 41 - 12,
             ("bipartite_free", 10, 0): 1425 - 225, ("bipartite_free", 10, 2): 3261 - 201,
             ("bipartite_alternating", 10, 4): 841 - 10,
-            ("bipartite_consecutive", 11, 2): 4553 - 18,
+            ("bipartite_consecutive", 11, 2): 4613,
             ("bipartite_consecutive", 12, 1): 8643 - 21}
     got = {cell: max_edges(cell[1], cell[2], cell[0]).nodes_explored for cell in want}
     assert got == want
@@ -603,7 +621,7 @@ def test_node_state_matches_definitions(rng):
             # that cross no candidate included, the others addable at cost 0
             rest = (1 << m) - (1 << free)
             assert _state(cross, k, (1 << free) - 1, (1 << m) - 1) \
-                == (rest, [rest] + [0] * min(k, m), k * free, free), (n, coloring, k)
+                == (rest, [rest] + [0] * min(k, m), free), (n, coloring, k)
             for _ in range(4):
                 p = rng.random() / 2
                 included = sum(1 << i for i in range(m) if rng.random() < p)
@@ -615,13 +633,13 @@ def test_node_state_matches_definitions(rng):
                     with pytest.raises(ValueError, match="^state is not outer k-planar$"):
                         _state(cross, k, included, undecided)
                     continue
-                feas, layers, cap, m_inc = _state(cross, k, included, undecided)
-                addable, costs, headroom, edges = want
+                feas, layers, m_inc = _state(cross, k, included, undecided)
+                addable, costs, edges = want
                 assert feas == sum(1 << cands.index(e) for e in addable)
                 assert len(layers) == min(k, m) + 1
                 assert layers == [sum(1 << cands.index(e) for e in addable if costs[e] == c)
                                   for c in range(len(layers))]
-                assert (cap, m_inc) == (headroom, edges)
+                assert m_inc == edges
 
 
 def test_proven_optima_reprove():
@@ -635,7 +653,7 @@ def test_bipartite_free_12_3_proves_24():
     # left unproven at 3M nodes before the vertex term; the MILP agrees
     res = max_edges(12, 3, "bipartite_free", node_budget=3_000_000)
     assert res.proven_optimal and res.max_edges == 24
-    assert res.nodes_explored == 622_732  # pins the traversal deep in a proof
+    assert res.nodes_explored == 622_932  # pins the traversal deep in a proof
     check_witness(res, 12, 3, "bipartite_free")
 
 
